@@ -185,7 +185,7 @@ def _assemble_overlap(elems: _Elements, basis: PauliBasis, p: np.ndarray):
     return s_mat, e_mats
 
 
-def _drift_parts(elems, basis, p, jump, tau, s_mat, e_mats):
+def _drift_parts(elems, basis, p, jump, tau, e_mats):
     gen = jump.adjoint() * jump  # L+L, Hermitian
     gen_mat = elems.of_sum(gen)
     q = -tau * p * np.real(np.diag(gen_mat))
@@ -198,7 +198,7 @@ def _drift_parts(elems, basis, p, jump, tau, s_mat, e_mats):
     return b, q
 
 
-def _jump_parts(elems, basis, p, jump, tau, s_mat, e_mats):
+def _jump_parts(elems, basis, p, jump, tau):
     el = elems.of_sum(jump)
     el_dag = elems.of_sum(jump.adjoint())  # cache-backed, no extra draws
     q = tau * (np.abs(el) ** 2 @ p)
@@ -220,7 +220,7 @@ def drift_system(
     """(S, b, q) for the no-jump factor of one jump operator."""
     elems = _Elements(state, shot)
     s_mat, e_mats = _assemble_overlap(elems, basis, state.p)
-    b, q = _drift_parts(elems, basis, state.p, jump, tau, s_mat, e_mats)
+    b, q = _drift_parts(elems, basis, state.p, jump, tau, e_mats)
     return s_mat, b, q
 
 
@@ -234,7 +234,7 @@ def jump_system(
     """(S, b, q) for the refill factor rho + tau L rho L+."""
     elems = _Elements(state, shot)
     s_mat, e_mats = _assemble_overlap(elems, basis, state.p)
-    b, q = _jump_parts(elems, basis, state.p, jump, tau, s_mat, e_mats)
+    b, q = _jump_parts(elems, basis, state.p, jump, tau)
     return s_mat, b, q
 
 
@@ -324,8 +324,8 @@ def dissipator_step(
     """
     elems = _Elements(state, shot)
     s_mat, e_mats = _assemble_overlap(elems, basis, state.p)
-    b_drift, q_drift = _drift_parts(elems, basis, state.p, jump, tau, s_mat, e_mats)
-    b_refill, q_refill = _jump_parts(elems, basis, state.p, jump, tau, s_mat, e_mats)
+    b_drift, q_drift = _drift_parts(elems, basis, state.p, jump, tau, e_mats)
+    b_refill, q_refill = _jump_parts(elems, basis, state.p, jump, tau)
     a_drift = solve_regularized(s_mat, b_drift, delta_reg).a
     a_refill = solve_regularized(s_mat, b_refill, delta_reg).a
     state = _apply_update(state, basis, q_drift + q_refill, a_drift)

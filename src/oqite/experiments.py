@@ -9,7 +9,6 @@ Presets carry the published TLS and Ising parameter sets.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -35,10 +34,9 @@ from .vectorized import run as run_vectorized
 
 ALGORITHMS = ("oracle", "algo1", "algo2")
 
-# regularizers and shot count used for the published runs
+# regularizers used for the published runs
 TLS_REGULARIZER = 1e-6
 TFIM_REGULARIZER = 0.01
-NOISY_SHOTS = 8192
 
 # QITE strings used for the published TLS run on the doubled register
 TLS_BASIS_LABELS = ("XZ", "YX", "YZ", "ZX")
@@ -96,6 +94,10 @@ EXPERIMENT_SCHEMA = {
 }
 
 
+# built once: jsonschema.validate re-checks the schema on every call (~15 ms)
+_VALIDATOR = jsonschema.Draft202012Validator(EXPERIMENT_SCHEMA)
+
+
 def _default_observables(model_desc: dict, n: int) -> dict[str, str]:
     kind = model_desc["type"]
     if kind == "tls":
@@ -141,15 +143,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        try:
-            jsonschema.validate(raw, EXPERIMENT_SCHEMA)
-        except jsonschema.ValidationError as e:
-            raise ConfigError(f"bad experiment config: {e.message}") from e
+        error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+        if error is not None:
+            raise ConfigError(
+                f"bad experiment config at {error.json_path}: {error.message}"
+            )
         if "seed" in raw and "seeds" in raw:
             raise ConfigError("give either seed or seeds, not both")
+        try:  # NaN and infinity are not JSON numbers, but json.loads accepts them
+            json.dumps(raw, allow_nan=False)
+        except ValueError as e:
+            raise ConfigError("bad experiment config: NaN or infinite number") from e
         model_desc = raw["model"]
-        model = model_from_config(model_desc)  # also checks model semantics
+        try:
+            model = model_from_config(model_desc)  # also checks model semantics
+        except ValueError as e:
+            raise ConfigError(f"bad model: {e}") from e
         n = model.n_qubits
+        if raw["algorithm"] == "oracle" and n > MAX_QUBITS:
+            raise ConfigError(f"oracle is limited to {MAX_QUBITS} qubits, got {n}")
         seeds = tuple(raw.get("seeds", [raw.get("seed", 0)]))
         # canonical name order: the config echo is serialized with sorted
         # keys, so replaying a CSV header must produce the same row order
@@ -175,7 +187,6 @@ class ExperimentConfig:
             initial=initial,
             output=raw.get("output"),
         )
-        cfg.resolve_model()  # fail fast on inconsistent registers
         cfg.resolve_observables()
         cfg.resolve_initial()
         return cfg
@@ -310,8 +321,6 @@ def oracle_trajectory(
             v = prop @ v
             record((k + 1) * tau, v.reshape((dim, dim), order="F"))
         return traj
-    if model.n_qubits > MAX_QUBITS:
-        raise ValueError("oracle trajectory limited to small registers")
     rho = rho0
     record(0.0, rho.entries)
     for k in range(n_steps):
@@ -459,12 +468,6 @@ def max_abs_deviation(traj: Trajectory, reference: Trajectory, name: str) -> flo
     return float(np.max(np.abs(traj.series(name) - reference.series(name))))
 
 
-def _pool_map(fn, items):
-    # worker pool; assembly stays submission-ordered
-    with ThreadPoolExecutor() as pool:
-        return list(pool.map(fn, items))
-
-
 def sweep_paulis(
     counts: Iterable[int] = (16, 24, 32, 48),
     seeds: Iterable[int] = TFIM_SWEEP_SEEDS,
@@ -478,22 +481,19 @@ def sweep_paulis(
     seeds = list(seeds)
     base = preset("tfim", "oracle", tau=tau, n_steps=n_steps)
     reference = run_experiment(base)
-    points = [(c, s) for c in counts for s in seeds]
-
-    def one(point):
-        count, seed = point
-        cfg = preset(
-            "tfim", "algo1", tau=tau, n_steps=n_steps,
-            basis_seed=seed, basis_count=count,
-        )
-        traj = run_experiment(cfg)
-        return {
-            "count": count,
-            "seed": seed,
-            "deviation": max_abs_deviation(traj, reference, "avg_z"),
-        }
-
-    rows = _pool_map(one, points)
+    rows = []
+    for count in counts:
+        for seed in seeds:
+            cfg = preset(
+                "tfim", "algo1", tau=tau, n_steps=n_steps,
+                basis_seed=seed, basis_count=count,
+            )
+            traj = run_experiment(cfg)
+            rows.append({
+                "count": count,
+                "seed": seed,
+                "deviation": max_abs_deviation(traj, reference, "avg_z"),
+            })
     meta = {
         "sweep": "paulis",
         "counts": json.dumps(counts),
@@ -517,7 +517,8 @@ def sweep_gamma(
     reference, one row per (gamma, algorithm)."""
     gammas = list(gammas)
 
-    def one(gamma):
+    rows = []
+    for gamma in gammas:
         model = {"type": "tfim", "params": {"n": 2, "j": 1.0, "h": 1.0,
                                             "gamma": float(gamma)}}
         common = {"model": model, "tau": tau, "n_steps": n_steps,
@@ -525,7 +526,6 @@ def sweep_gamma(
         reference = run_experiment(
             ExperimentConfig.from_dict({**common, "algorithm": "oracle"})
         )
-        rows = []
         for algorithm in ("algo1", "algo2"):
             raw = {**common, "algorithm": algorithm}
             if algorithm == "algo1":
@@ -538,9 +538,7 @@ def sweep_gamma(
                 "algorithm": algorithm,
                 "deviation": max_abs_deviation(traj, reference, "avg_z"),
             })
-        return rows
 
-    rows = [row for group in _pool_map(one, gammas) for row in group]
     meta = {
         "sweep": "gamma",
         "gammas": json.dumps(gammas),

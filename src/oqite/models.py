@@ -138,7 +138,11 @@ MODEL_SCHEMA = {
     "required": ["type"],
     "properties": {
         "type": {"enum": ["tls", "tfim", "custom"]},
-        "params": {"type": "object"},
+        "params": {"type": "object", "properties": {
+            "n": {"type": "integer", "minimum": 1},
+            **{k: {"type": "number", "minimum": 0}
+               for k in ("delta", "omega", "gamma", "j", "h")},
+        }},
         "custom": {
             "type": "object",
             "required": ["n", "h_terms"],

@@ -172,8 +172,6 @@ class PauliSum:
         complex literal coefficient.
         """
         pieces = []
-        token = ""
-        sign = 1.0
         stripped = text.replace("\t", " ").strip()
         if not stripped:
             raise ValueError("empty operator text")

@@ -74,6 +74,50 @@ def test_run_schema_violation(outdir, capsys):
     assert not list(outdir.glob("*.csv"))
 
 
+TFIM_ORACLE = {
+    "model": {"type": "tfim", "params": {"n": 2, "j": 1.0, "h": 1.0, "gamma": 0.1}},
+    "algorithm": "oracle",
+    "tau": 0.05,
+    "n_steps": 3,
+}
+
+
+def _with_params(base, **params):
+    model = base["model"]
+    return {**base, "model": {**model, "params": {**model["params"], **params}}}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {**TLS_ORACLE, "tau": float("nan")},
+        {**TLS_ORACLE, "tau": float("inf")},
+        _with_params(TLS_ORACLE, gamma=-1.0),
+        _with_params(TLS_ORACLE, gamma=float("nan")),
+        _with_params(TLS_ORACLE, delta=float("-inf")),
+        _with_params(TLS_ORACLE, omega=-0.5),
+        _with_params(TFIM_ORACLE, j=float("inf")),
+        _with_params(TFIM_ORACLE, h=-1.0),
+        _with_params(TFIM_ORACLE, n=0),
+        _with_params(TFIM_ORACLE, n=7),
+        {**TLS_ORACLE, "model": {"type": "custom", "custom": {
+            "n": 1, "h_terms": [{"coeff": [0.0, 1.0], "string": "X"}]}}},
+    ],
+    ids=[
+        "tau-nan", "tau-inf", "gamma-negative", "gamma-nan", "delta-inf",
+        "omega-negative", "j-inf", "h-negative", "tfim-n0", "oracle-n7",
+        "custom-non-hermitian",
+    ],
+)
+def test_run_refuses_out_of_range_config(outdir, capsys, cfg):
+    # json.dumps writes NaN/Infinity, which json.loads reads back
+    assert main(["run", _write_config(outdir, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+    assert not list(outdir.glob("*.csv"))
+
+
 def test_run_numerical_failure(outdir, capsys):
     # a huge step drives the norm-constant guard negative
     cfg = {**TLS_ORACLE, "algorithm": "algo1", "tau": 5.0, "n_steps": 2}
@@ -93,6 +137,12 @@ def test_run_reproducible_from_csv_header(outdir):
 
 
 # --- preset --------------------------------------------------------------------
+
+
+def test_preset_refuses_non_finite_tau(outdir, capsys):
+    assert main(["preset", "tls", "--tau", "nan", "--steps", "3"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not list(outdir.glob("*.csv"))
 
 
 def test_preset_default_filename(outdir, capsys):

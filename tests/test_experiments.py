@@ -3,12 +3,14 @@
 import io
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
 from conftest import assert_close, label_matrix, sum_matrix
 from oqite.errors import ConfigError
 from oqite.experiments import (
+    EXPERIMENT_SCHEMA,
     TFIM_BASIS_SEED,
     TFIM_REGULARIZER,
     TLS_BASIS_LABELS,
@@ -42,6 +44,11 @@ def tls_config(**overrides):
 
 
 # --- validation -------------------------------------------------------------
+
+
+def test_experiment_schema_is_valid():
+    # from_dict uses a prebuilt validator, which does not check the schema
+    jsonschema.Draft202012Validator.check_schema(EXPERIMENT_SCHEMA)
 
 
 def test_from_dict_requires_core_keys():

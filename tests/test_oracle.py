@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from conftest import (
     assert_close,
@@ -16,6 +18,7 @@ from conftest import (
 from oqite.models import LindbladModel, lowering, tfim_model, tls_model
 from oqite.oracle import (
     MAX_QUBITS,
+    _generator,
     default_rk4_steps,
     dense_apply,
     dense_expm_apply,
@@ -127,8 +130,9 @@ def test_evolve_exact_semigroup_composition(rng):
 
 
 def test_evolve_exact_rk4_path_matches_dense():
-    # 5-qubit model whose generator acts only on qubit 0, so the RK4 branch
-    # must reproduce the single-qubit dense-expm answer on that factor
+    # 5-qubit model whose generator acts only on qubit 0, so the
+    # matrix-free propagator must reproduce the single-qubit answer on
+    # that factor and leave the rest of the register untouched
     small = tls_model(1.0, 1.0, 1.0)
     ham = PauliSum(
         5,
@@ -144,25 +148,24 @@ def test_evolve_exact_rk4_path_matches_dense():
     rho0_small = DensityMatrix.pure(StateVector.from_bits("1"))
     rho0_big = DensityMatrix.pure(StateVector.from_bits("00001"))
     t = 0.8
-    got = evolve_exact(big, rho0_big, t, steps=4000)
+    got = evolve_exact(big, rho0_big, t)
     want_small = evolve_exact(small, rho0_small, t)
     # dynamics never leaves the qubit-0 factor: compare the top 2x2 block
-    assert_close(got.entries[:2, :2], want_small.entries, 1e-8, "rk4 vs dense")
+    assert_close(got.entries[:2, :2], want_small.entries, 1e-12, "n=5 vs n=1")
     mask = np.ones((32, 32), dtype=bool)
     mask[:2, :2] = False
-    assert np.max(np.abs(got.entries[mask])) < 1e-8
+    assert np.max(np.abs(got.entries[mask])) < 1e-12
 
 
-def test_evolve_exact_rk4_steps_override():
-    model = tfim_model(5, 1.0, 1.0, 0.1)
-    rho = DensityMatrix.pure(StateVector.from_bits("00000"))
-    coarse = evolve_exact(model, rho, 0.3, steps=30)
-    fine = evolve_exact(model, rho, 0.3, steps=3000)
-    # RK4 local error shrinks ~1e4x; coarse is close but measurably different
-    gap = np.max(np.abs(coarse.entries - fine.entries))
-    assert gap < 1e-5
-    with pytest.raises(ValueError):
-        evolve_exact(model, rho, 0.3, steps=0)
+@pytest.mark.parametrize("n", [3, 5])
+def test_evolve_exact_matches_expm_multiply(rng, n):
+    model = tfim_model(n, 1.0, 0.7, 0.3)
+    rho0 = DensityMatrix.pure(StateVector(n, random_unit(rng, 1 << n)))
+    gen = scipy.sparse.csr_matrix(_superop_oracle(model))
+    for t in (0.05, 0.7):
+        want = unvec_col(scipy.sparse.linalg.expm_multiply(t * gen, vec_col(rho0.entries)))
+        got = evolve_exact(model, rho0, t)
+        assert_close(got.entries, want, 1e-12, f"n={n} t={t}")
 
 
 def test_evolve_exact_guards():
@@ -170,8 +173,10 @@ def test_evolve_exact_guards():
     rho2 = DensityMatrix.pure(StateVector.from_bits("00"))
     with pytest.raises(ValueError):
         evolve_exact(model, rho2, 1.0)
-    with pytest.raises(ValueError):
-        evolve_exact(model, DensityMatrix.pure(StateVector.from_bits("1")), -0.1)
+    rho1 = DensityMatrix.pure(StateVector.from_bits("1"))
+    for t in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            evolve_exact(model, rho1, t)
     wide = LindbladModel(
         7,
         PauliSum(7, ((1.0, PauliString.from_label("IIIIIIX")),)),
@@ -179,12 +184,21 @@ def test_evolve_exact_guards():
     )
     with pytest.raises(ValueError):
         evolve_exact(wide, DensityMatrix.pure(StateVector.from_bits("0" * 7)), 0.1)
+    # a non-finite state never meets the series tolerance
+    with pytest.raises(RuntimeError, match="not converged"):
+        evolve_exact(model, DensityMatrix(1, np.full((2, 2), np.nan)), 0.1)
 
 
-def test_default_rk4_steps_floor_and_growth():
-    model = tfim_model(5, 1.0, 1.0, 0.1)
-    assert default_rk4_steps(model, 0.0) == 1000
-    assert default_rk4_steps(model, 10.0) > default_rk4_steps(model, 1.0)
+def test_default_rk4_steps_bounds_substep_norm():
+    model = tfim_model(3, 1.0, 1.0, 0.1)
+    _, _, bound = _generator(model)
+    assert bound >= np.linalg.norm(_superop_oracle(model), 1)
+    counts = [default_rk4_steps(bound, t) for t in (0.05, 1.0, 10.0)]
+    assert counts == sorted(set(counts))
+    for t, s in zip((0.05, 1.0, 10.0), counts):
+        assert t * bound / s <= 1.0
+    # one substep per 0.05 grid step of the n = 5 Ising preset
+    assert default_rk4_steps(_generator(tfim_model(5, 1.0, 1.0, 0.1))[2], 0.05) == 1
 
 
 # --- steady state --------------------------------------------------------
