@@ -114,6 +114,11 @@ def init_ansatz(weights, n_qubits: int) -> AnsatzState:
     return AnsatzState(n_qubits, tuple(indices), np.array(p), phi)
 
 
+def _branch_stack(state: AnsatzState) -> np.ndarray:
+    """Branch vectors as the rows of one (r, 2^n) array."""
+    return np.vstack([f.amplitudes for f in state.phi])
+
+
 class _Elements:
     """Per-substep cache of branch matrix elements <phi_x|sigma|phi_y>.
 
@@ -126,7 +131,7 @@ class _Elements:
         self.state = state
         self.shot = shot
         self.r = len(state.p)
-        self._stack = np.vstack([f.amplitudes for f in state.phi])
+        self._stack = _branch_stack(state)
         self._cache: dict[tuple[int, int], np.ndarray] = {}
 
     def of_string(self, string: PauliString) -> np.ndarray:
@@ -136,10 +141,7 @@ class _Elements:
             return cached
         r = self.r
         if self.shot.exact:
-            applied = np.vstack(
-                [apply_string(string, self._stack[y]) for y in range(r)]
-            )
-            mat = self._stack.conj() @ applied.T
+            mat = self._stack.conj() @ apply_string(string, self._stack).T
         else:
             single = PauliSum(self.state.n_qubits, [(1.0, string)])
             mat = np.empty((r, r), dtype=np.complex128)
@@ -241,19 +243,12 @@ def jump_system(
 def _rotate_branches(
     state: AnsatzState, basis: PauliBasis, angles: np.ndarray
 ) -> tuple[StateVector, ...]:
-    # common rotation prod_j exp(+i a_j sigma_j), basis order, all branches
-    out = []
-    for f in state.phi:
-        amps = f.amplitudes
-        for theta, string in zip(angles, basis.strings):
-            if theta == 0.0:
-                continue
-            amps = np.cos(theta) * amps + 1j * np.sin(theta) * apply_string(
-                string, amps
-            )
-        amps = amps / np.linalg.norm(amps)
-        out.append(StateVector(state.n_qubits, amps))
-    return tuple(out)
+    # common rotation prod_j exp(+i a_j sigma_j), basis order, all branches;
+    # rows are renormalized one by one: a norm along axis 1 rounds differently
+    stack = pauli_rotation(_branch_stack(state), basis.strings, -angles)
+    return tuple(
+        StateVector(state.n_qubits, row / np.linalg.norm(row)) for row in stack
+    )
 
 
 def _apply_update(
@@ -297,12 +292,12 @@ def jump_step(
 
 def unitary_step(state: AnsatzState, h: PauliSum, tau: float) -> AnsatzState:
     """First-order Trotter of exp(-i H tau) on every branch, term order."""
-    out = []
-    for f in state.phi:
-        for coeff, string in h:
-            f = pauli_rotation(f, string, coeff.real * tau)
-        out.append(f)
-    return replace(state, phi=tuple(out))
+    stack = pauli_rotation(
+        _branch_stack(state),
+        [string for _, string in h],
+        [coeff.real * tau for coeff, _ in h],
+    )
+    return replace(state, phi=tuple(StateVector(state.n_qubits, row) for row in stack))
 
 
 def dissipator_step(

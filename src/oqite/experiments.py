@@ -8,6 +8,7 @@ Presets carry the published TLS and Ising parameter sets.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable
@@ -28,7 +29,7 @@ from .oracle import MAX_QUBITS, evolve_exact, expm, superoperator
 from .pauli import PauliSum
 from .qite import PauliBasis
 from .states import DensityMatrix, ShotModel
-from .trajectory import Trajectory, TrajectoryPoint
+from .trajectory import Trajectory, TrajectoryPoint, open_csv
 from .vectorized import Algo1Config
 from .vectorized import run as run_vectorized
 
@@ -71,7 +72,8 @@ EXPERIMENT_SCHEMA = {
         "n_steps": {"type": "integer", "minimum": 0},
         "basis": BASIS_SCHEMA,
         "delta_reg": {"type": "number", "minimum": 0},
-        "shots": {"type": "integer", "minimum": 0},
+        # Generator.binomial takes an int64 trial count
+        "shots": {"type": "integer", "minimum": 0, "maximum": np.iinfo(np.int64).max},
         "seed": {"type": "integer", "minimum": 0},
         "seeds": {
             "type": "array",
@@ -187,6 +189,7 @@ class ExperimentConfig:
             initial=initial,
             output=raw.get("output"),
         )
+        cfg.__dict__["_model"] = model  # seed the cache: built once per config
         cfg.resolve_observables()
         cfg.resolve_initial()
         return cfg
@@ -225,8 +228,12 @@ class ExperimentConfig:
 
     # --- resolution -----------------------------------------------------
 
-    def resolve_model(self) -> LindbladModel:
+    @functools.cached_property
+    def _model(self) -> LindbladModel:
         return model_from_config(self.model)
+
+    def resolve_model(self) -> LindbladModel:
+        return self._model
 
     def resolve_observables(self) -> dict[str, PauliSum]:
         n = self.resolve_model().n_qubits
@@ -553,24 +560,15 @@ def sweep_gamma(
 
 def write_rows_csv(rows: list[dict], meta: dict, stream) -> None:
     """Summary CSV with the same ``# key=value`` header style as runs."""
-    close = False
-    if isinstance(stream, (str, bytes)):
-        stream = open(stream, "w", encoding="utf-8", newline="\n")
-        close = True
-    try:
-        for key in sorted(meta):
-            stream.write(f"# {key}={meta[key]}\n")
+    with open_csv(stream, meta) as out:
         if not rows:
-            stream.write("\n")
+            out.write("\n")
             return
         cols = list(rows[0])
-        stream.write(",".join(cols) + "\n")
+        out.write(",".join(cols) + "\n")
         for row in rows:
             cells = [
                 repr(float(row[c])) if isinstance(row[c], float) else str(row[c])
                 for c in cols
             ]
-            stream.write(",".join(cells) + "\n")
-    finally:
-        if close:
-            stream.close()
+            out.write(",".join(cells) + "\n")

@@ -133,6 +133,15 @@ def unvec(psi: StateVector) -> DensityMatrix:
 
 # --- JSON model description -------------------------------------------------
 
+# a custom term is {"string": label, "coeff": [real, imag]}
+_TERMS_SCHEMA = {"type": "array", "items": {
+    "type": "object",
+    "required": ["string", "coeff"],
+    "properties": {"string": {"type": "string"}, "coeff": {
+        "type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2,
+    }},
+}}
+
 MODEL_SCHEMA = {
     "type": "object",
     "required": ["type"],
@@ -148,8 +157,8 @@ MODEL_SCHEMA = {
             "required": ["n", "h_terms"],
             "properties": {
                 "n": {"type": "integer", "minimum": 1},
-                "h_terms": {"type": "array"},
-                "jumps": {"type": "array"},
+                "h_terms": _TERMS_SCHEMA,
+                "jumps": {"type": "array", "items": _TERMS_SCHEMA},
             },
         },
     },

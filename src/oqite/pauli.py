@@ -113,16 +113,19 @@ def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
 
 
 def apply_string(string: PauliString, amplitudes: np.ndarray) -> np.ndarray:
-    """Apply the canonical matrix to an amplitude vector in O(2^n)."""
+    """Apply the canonical matrix along the last axis in O(2^n) per vector.
+
+    ``amplitudes`` is one vector or a stack of them, e.g. (r, 2^n) branches.
+    """
     amplitudes = np.asarray(amplitudes, dtype=np.complex128)
     dim = 1 << string.n_qubits
-    if amplitudes.shape != (dim,):
+    if amplitudes.shape[-1:] != (dim,):
         raise ValueError("state dimension does not match the string register")
     idx = np.arange(dim, dtype=np.uint64)
     pref = 1j ** (bin(string.x_mask & string.z_mask).count("1") % 4)
     signs = 1.0 - 2.0 * _parity(idx & np.uint64(string.z_mask))
-    out = np.empty(dim, dtype=np.complex128)
-    out[idx ^ np.uint64(string.x_mask)] = pref * signs * amplitudes
+    out = np.empty(amplitudes.shape, dtype=np.complex128)
+    out[..., idx ^ np.uint64(string.x_mask)] = pref * signs * amplitudes
     return out
 
 

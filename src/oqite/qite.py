@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import StepSizeError
 from .pauli import PauliString, PauliSum, apply_string, multiply
-from .states import EXACT, ShotModel, StateVector, expectation
+from .states import EXACT, ShotModel, StateVector, expectation, pauli_rotation
 
 C_GUARD = 0.1  # below this the first-order norm estimate is meaningless
 
@@ -195,25 +195,12 @@ def solve_regularized(
     return QiteStep(a=a, residual=residual, c_norm=c_norm)
 
 
-def _apply_rotations(
-    psi: StateVector, basis: PauliBasis, angles: np.ndarray
-) -> StateVector:
-    # sequential first-order product, basis order
-    amps = psi.amplitudes
-    for theta, string in zip(angles, basis.strings):
-        if theta == 0.0:
-            continue
-        amps = np.cos(theta) * amps - 1j * np.sin(theta) * apply_string(string, amps)
-    return StateVector(psi.n_qubits, amps)
-
-
 def apply_step(
     psi: StateVector, basis: PauliBasis, step: QiteStep, tau: float
 ) -> StateVector:
     """Apply prod_j exp(-i tau a_j sigma_j) in basis order, renormalized."""
-    if len(step.a) != len(basis):
-        raise ValueError("coefficient count does not match the basis")
-    return _apply_rotations(psi, basis, tau * step.a).normalized()
+    amps = pauli_rotation(psi.amplitudes, basis.strings, tau * step.a)
+    return StateVector(psi.n_qubits, amps).normalized()
 
 
 def nonunitary_step(
@@ -228,10 +215,6 @@ def nonunitary_step(
     """One full imaginary-time step: build, solve, rotate."""
     s_mat, b, c = build_system(psi, h, tau, basis, shot, exact_c)
     step = solve_regularized(s_mat, b, delta_reg, c_norm=c)
-    rotated = _apply_rotations(psi, basis, tau * step.a)
-    raw_norm = rotated.norm()
-    return StepOutcome(
-        state=StateVector(psi.n_qubits, rotated.amplitudes / raw_norm),
-        qite=step,
-        raw_norm=raw_norm,
-    )
+    amps = pauli_rotation(psi.amplitudes, basis.strings, tau * step.a)
+    rotated = StateVector(psi.n_qubits, amps)
+    return StepOutcome(rotated.normalized(), step, rotated.norm())

@@ -178,14 +178,18 @@ def expectation(psi: StateVector, op: PauliSum, shot: ShotModel = EXACT) -> comp
     return total
 
 
-def pauli_rotation(psi: StateVector, string: PauliString, theta: float) -> StateVector:
-    """exp(-i theta sigma)|psi> = cos(theta)|psi> - i sin(theta) sigma|psi>."""
-    if psi.n_qubits != string.n_qubits:
-        raise ValueError("register size mismatch")
-    amps = np.cos(theta) * psi.amplitudes - 1j * np.sin(theta) * apply_string(
-        string, psi.amplitudes
-    )
-    return StateVector(psi.n_qubits, amps)
+def pauli_rotation(amplitudes: np.ndarray, strings, angles) -> np.ndarray:
+    """prod_k exp(-i theta_k sigma_k) along the last axis, first string first.
+
+    Each factor is cos(theta)|a> - i sin(theta) sigma|a>; zero angles are
+    skipped.  ``amplitudes`` is one vector or a stack of branch vectors.
+    """
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    for string, theta in zip(strings, angles, strict=True):
+        if theta == 0.0:
+            continue
+        amps = np.cos(theta) * amps - 1j * np.sin(theta) * apply_string(string, amps)
+    return amps
 
 
 def _is_basis_state(amps: np.ndarray) -> int | None:

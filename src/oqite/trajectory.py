@@ -8,6 +8,7 @@ pair.  Bytes are deterministic for a given run except the single
 
 from __future__ import annotations
 
+import contextlib
 import io
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -24,6 +25,19 @@ COLUMNS = (
     "algorithm",
     "seed",
 )
+
+
+@contextlib.contextmanager
+def open_csv(stream, meta: dict):
+    """Yield ``stream`` (a path is opened here) after the ``# key=value`` lines."""
+    if isinstance(stream, (str, bytes)):
+        cm = open(stream, "w", encoding="utf-8", newline="\n")
+    else:
+        cm = contextlib.nullcontext(stream)
+    with cm as out:
+        for key in sorted(meta):
+            out.write(f"# {key}={meta[key]}\n")
+        yield out
 
 
 @dataclass
@@ -60,20 +74,14 @@ class Trajectory:
         return any(p.value_std for p in self.points)
 
     def write_csv(self, stream, timestamp: bool = True):
-        close = False
-        if isinstance(stream, (str, bytes)):
-            stream = open(stream, "w", encoding="utf-8", newline="\n")
-            close = True
-        try:
-            for key in sorted(self.meta):
-                stream.write(f"# {key}={self.meta[key]}\n")
+        with open_csv(stream, self.meta) as out:
             if timestamp:
                 now = datetime.now(timezone.utc).isoformat()
-                stream.write(f"# timestamp={now}\n")
+                out.write(f"# timestamp={now}\n")
             cols = list(COLUMNS)
             if self.has_std:
                 cols.insert(3, "value_std")
-            stream.write(",".join(cols) + "\n")
+            out.write(",".join(cols) + "\n")
             for p in self.points:
                 for name in p.values:
                     row = [repr(float(p.t)), name, repr(float(p.values[name]))]
@@ -87,10 +95,7 @@ class Trajectory:
                         self.algorithm,
                         str(self.seed),
                     ]
-                    stream.write(",".join(row) + "\n")
-        finally:
-            if close:
-                stream.close()
+                    out.write(",".join(row) + "\n")
 
     def to_csv_text(self, timestamp: bool = True) -> str:
         buf = io.StringIO()

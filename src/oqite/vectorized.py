@@ -81,20 +81,21 @@ def step(
     state: VectorizedState, gen: VectorizedGenerator, cfg: Algo1Config
 ) -> StepResult:
     """One Trotter slice: rotations for the coherent part, QITE for decay."""
-    v = state.v
     sub_tau = cfg.tau / cfg.trotter_substeps
+    strings = [string for _, string in gen.coherent]
+    angles = [coeff.real * sub_tau for coeff, _ in gen.coherent]
+    amps = state.v.amplitudes
     for _ in range(cfg.trotter_substeps):
-        for coeff, string in gen.coherent:
-            v = pauli_rotation(v, string, coeff.real * sub_tau)
+        amps = pauli_rotation(amps, strings, angles)
+    v = StateVector(state.v.n_qubits, amps)
     if len(gen.decay):
         outcome = nonunitary_step(
             v, gen.decay, cfg.tau, cfg.basis, cfg.delta_reg, cfg.shot
         )
         new_state = VectorizedState(state.n_phys, outcome.state, state.purity0)
         return StepResult(new_state, outcome.raw_norm, outcome.qite)
-    raw_norm = v.norm()
-    v = StateVector(v.n_qubits, v.amplitudes / raw_norm)
-    return StepResult(VectorizedState(state.n_phys, v, state.purity0), raw_norm, None)
+    new_state = VectorizedState(state.n_phys, v.normalized(), state.purity0)
+    return StepResult(new_state, v.norm(), None)
 
 
 def observe(

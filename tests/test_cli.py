@@ -102,11 +102,18 @@ def _with_params(base, **params):
         _with_params(TFIM_ORACLE, n=7),
         {**TLS_ORACLE, "model": {"type": "custom", "custom": {
             "n": 1, "h_terms": [{"coeff": [0.0, 1.0], "string": "X"}]}}},
+        {**TLS_ORACLE, "model": {"type": "custom", "custom": {
+            "n": 1, "h_terms": [{"string": "X"}]}}},
+        {**TLS_ORACLE, "model": {"type": "custom", "custom": {
+            "n": 1, "h_terms": [{"coeff": [1.0, 0.0], "string": "X"}],
+            "jumps": [[{"coeff": [1.0], "string": "Z"}]]}}},
+        {**TLS_ORACLE, "algorithm": "algo1", "shots": 10**19},
     ],
     ids=[
         "tau-nan", "tau-inf", "gamma-negative", "gamma-nan", "delta-inf",
         "omega-negative", "j-inf", "h-negative", "tfim-n0", "oracle-n7",
-        "custom-non-hermitian",
+        "custom-non-hermitian", "custom-term-no-coeff", "custom-jump-bad-coeff",
+        "shots-above-int64",
     ],
 )
 def test_run_refuses_out_of_range_config(outdir, capsys, cfg):

@@ -1,5 +1,6 @@
 """Config plumbing, reference trajectories, presets and sweeps."""
 
+import dataclasses
 import io
 import json
 
@@ -26,7 +27,7 @@ from oqite.experiments import (
     sweep_paulis,
     write_rows_csv,
 )
-from oqite.models import tls_model
+from oqite.models import model_from_config, tls_model
 from oqite.oracle import evolve_exact
 from oqite.states import DensityMatrix, StateVector
 from oqite.trajectory import Trajectory, TrajectoryPoint
@@ -146,6 +147,29 @@ def test_round_trip_through_dict_and_meta():
 
 
 # --- resolution ---------------------------------------------------------------
+
+
+def test_model_is_built_once_per_config(monkeypatch):
+    import oqite.experiments as experiments
+
+    calls = []
+
+    def counted(desc):
+        calls.append(desc)
+        return model_from_config(desc)
+
+    monkeypatch.setattr(experiments, "model_from_config", counted)
+    for algorithm in ("oracle", "algo1", "algo2"):
+        calls.clear()
+        cfg = tls_config(algorithm=algorithm)
+        run_experiment(cfg)
+        cfg.resolve_basis()
+        cfg.resolve_index_set()
+        assert len(calls) == 1, algorithm
+    # a copy with another model builds its own
+    other = dataclasses.replace(cfg, model={"type": "tfim", "params": {"n": 2}})
+    assert other.resolve_model().n_qubits == 2
+    assert cfg.resolve_model().n_qubits == 1
 
 
 def test_resolve_basis_widths():

@@ -87,6 +87,14 @@ def test_apply_string_matches_matvec(lab, seed):
     psi = random_unit(rng, 1 << len(lab))
     s = PauliString.from_label(lab)
     assert_close(apply_string(s, psi), label_matrix(lab) @ psi, 1e-12)
+    # an (r, 2^n) stack is acted on row by row, bit for bit as single vectors
+    stack = np.vstack([psi] + [random_unit(rng, 1 << len(lab)) for _ in range(3)])
+    got = apply_string(s, stack)
+    assert_close(got, stack @ label_matrix(lab).T, 1e-12)
+    for row, vec in zip(got, stack):
+        assert np.array_equal(row, apply_string(s, vec))
+    with pytest.raises(ValueError):
+        apply_string(s, np.ones((2, 1 << (len(lab) + 1))))
 
 
 def test_support():

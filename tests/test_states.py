@@ -9,6 +9,7 @@ from conftest import (
     assert_close,
     dense_expm,
     label_matrix,
+    random_label,
     random_pauli_sum,
     random_unit,
     sum_matrix,
@@ -90,13 +91,36 @@ def test_matrix_element_matches_dense(rng):
 )
 def test_pauli_rotation_matches_dense_expm(lab, theta, seed):
     rng = np.random.default_rng(seed)
-    psi = random_unit(rng, 1 << len(lab))
-    got = pauli_rotation(
-        StateVector(len(lab), psi), PauliString.from_label(lab), theta
-    )
+    n = len(lab)
+    psi = random_unit(rng, 1 << n)
+    got = pauli_rotation(psi, [PauliString.from_label(lab)], [theta])
     want = dense_expm(-1j * theta * label_matrix(lab)) @ psi
-    assert_close(got.amplitudes, want, 1e-12)
-    assert got.norm() == pytest.approx(1.0, abs=1e-12)
+    assert_close(got, want, 1e-12)
+    assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-12)
+    # a stack of branches under an ordered product, first string first
+    labels = [lab, random_label(rng, n), random_label(rng, n)]
+    angles = [theta, rng.uniform(-2, 2), rng.uniform(-2, 2)]
+    stack = np.vstack([psi] + [random_unit(rng, 1 << n) for _ in range(2)])
+    strings = [PauliString.from_label(l) for l in labels]
+    got = pauli_rotation(stack, strings, angles)
+    unitary = np.eye(1 << n)
+    for l, a in zip(labels, angles):
+        unitary = dense_expm(-1j * a * label_matrix(l)) @ unitary
+    assert got.shape == stack.shape
+    assert_close(got, stack @ unitary.T, 1e-12)
+    # each row rounds exactly as the same vector rotated alone
+    for row, vec in zip(got, stack):
+        assert np.array_equal(row, pauli_rotation(vec, strings, angles))
+
+
+def test_pauli_rotation_skips_zero_angles_and_checks_lengths():
+    psi = StateVector.from_bits("01").amplitudes
+    strings = [PauliString.from_label("XY"), PauliString.from_label("ZZ")]
+    assert np.array_equal(pauli_rotation(psi, strings, [0.0, 0.0]), psi)
+    with pytest.raises(ValueError):
+        pauli_rotation(psi, strings, [0.1])
+    with pytest.raises(ValueError):
+        pauli_rotation(np.ones(8), strings, [0.1, 0.2])
 
 
 # --- sampling ---------------------------------------------------------------
