@@ -264,32 +264,6 @@ def _apply_update(
     return replace(state, p=new_p, phi=_rotate_branches(state, basis, a))
 
 
-def drift_step(
-    state: AnsatzState,
-    jump: PauliSum,
-    tau: float,
-    basis: PauliBasis,
-    delta_reg: float = 0.0,
-    shot: ShotModel = EXACT,
-) -> AnsatzState:
-    s_mat, b, q = drift_system(state, jump, tau, basis, shot)
-    step = solve_regularized(s_mat, b, delta_reg)
-    return _apply_update(state, basis, q, step.a)
-
-
-def jump_step(
-    state: AnsatzState,
-    jump: PauliSum,
-    tau: float,
-    basis: PauliBasis,
-    delta_reg: float = 0.0,
-    shot: ShotModel = EXACT,
-) -> AnsatzState:
-    s_mat, b, q = jump_system(state, jump, tau, basis, shot)
-    step = solve_regularized(s_mat, b, delta_reg)
-    return _apply_update(state, basis, q, step.a)
-
-
 def unitary_step(state: AnsatzState, h: PauliSum, tau: float) -> AnsatzState:
     """First-order Trotter of exp(-i H tau) on every branch, term order."""
     stack = pauli_rotation(

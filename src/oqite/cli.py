@@ -3,7 +3,8 @@
 Subcommands: ``run`` (JSON config), ``preset`` (published parameter
 sets), ``sweep-paulis``, ``sweep-gamma``, ``plot``.  Relative output
 paths resolve under ``$OQITE_OUTDIR`` (default: current directory).
-Exit codes: 0 success, 2 configuration problem, 3 numerical failure.
+Exit codes: 0 success, 2 configuration or output problem, 3 numerical
+failure.  The output path is checked before any simulation runs.
 """
 
 from __future__ import annotations
@@ -45,12 +46,14 @@ def _resolve_out(name: str) -> Path:
     return path
 
 
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _list_of(kind):
+    """argparse type for a comma-separated list; a bad item exits 2."""
 
+    def parse(text: str) -> list:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
 def _write_trajectory(traj, out: Path, plot: bool) -> None:
@@ -69,52 +72,46 @@ def _cmd_run(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     cfg = ExperimentConfig.from_dict(raw)
-    traj = run_experiment(cfg)
     out = _resolve_out(cfg.output or f"run_{cfg.algorithm}.csv")
-    _write_trajectory(traj, out, args.plot)
+    _write_trajectory(run_experiment(cfg), out, args.plot)
     return EXIT_OK
 
 
 def _cmd_preset(args) -> int:
-    seeds = _ints(args.seeds)
     cfg = preset(
         args.name,
         algorithm=args.algo,
         tau=args.tau,
         n_steps=args.steps,
         shots=args.shots,
-        seeds=seeds or (0,),
+        seeds=args.seeds or (0,),
         basis_seed=args.basis_seed,
         basis_count=args.basis_count,
     )
-    traj = run_experiment(cfg)
     out = _resolve_out(args.out or f"{args.name}_{args.algo}.csv")
-    _write_trajectory(traj, out, args.plot)
+    _write_trajectory(run_experiment(cfg), out, args.plot)
     return EXIT_OK
 
 
 def _cmd_sweep_paulis(args) -> int:
-    rows, meta = sweep_paulis(
-        counts=_ints(args.counts),
-        seeds=_ints(args.seeds),
-        tau=args.tau,
-        n_steps=args.steps,
-    )
     out = _resolve_out(args.out)
+    rows, meta = sweep_paulis(
+        counts=args.counts, seeds=args.seeds, tau=args.tau, n_steps=args.steps
+    )
     write_rows_csv(rows, meta, str(out))
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def _cmd_sweep_gamma(args) -> int:
+    out = _resolve_out(args.out)
     rows, meta = sweep_gamma(
-        gammas=_floats(args.gammas),
+        gammas=args.gammas,
         tau=args.tau,
         n_steps=args.steps,
         basis_seed=args.basis_seed,
         basis_count=args.basis_count,
     )
-    out = _resolve_out(args.out)
     write_rows_csv(rows, meta, str(out))
     print(f"wrote {out}")
     return EXIT_OK
@@ -150,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--tau", type=float, default=0.05)
     p_pre.add_argument("--steps", type=int, default=None)
     p_pre.add_argument("--shots", type=int, default=0)
-    p_pre.add_argument("--seeds", default="0", help="comma-separated")
+    p_pre.add_argument("--seeds", type=_list_of(int), default="0",
+                       help="comma-separated")
     p_pre.add_argument("--basis-seed", type=int, default=TFIM_BASIS_SEED)
     p_pre.add_argument("--basis-count", type=int, default=16)
     p_pre.add_argument("--out", default=None)
@@ -158,15 +156,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.set_defaults(fn=_cmd_preset)
 
     p_sp = sub.add_parser("sweep-paulis", help="random basis size scan")
-    p_sp.add_argument("--counts", default="16,24,32,48")
-    p_sp.add_argument("--seeds", default=",".join(map(str, TFIM_SWEEP_SEEDS)))
+    p_sp.add_argument("--counts", type=_list_of(int), default="16,24,32,48")
+    p_sp.add_argument("--seeds", type=_list_of(int),
+                      default=",".join(map(str, TFIM_SWEEP_SEEDS)))
     p_sp.add_argument("--tau", type=float, default=0.05)
     p_sp.add_argument("--steps", type=int, default=200)
     p_sp.add_argument("--out", default="sweep_paulis.csv")
     p_sp.set_defaults(fn=_cmd_sweep_paulis)
 
     p_sg = sub.add_parser("sweep-gamma", help="dissipation rate scan")
-    p_sg.add_argument("--gammas", default="0,0.25,0.5,0.75,1.0")
+    p_sg.add_argument("--gammas", type=_list_of(float),
+                      default="0,0.25,0.5,0.75,1.0")
     p_sg.add_argument("--tau", type=float, default=0.02)
     p_sg.add_argument("--steps", type=int, default=250)
     p_sg.add_argument("--basis-seed", type=int, default=TFIM_BASIS_SEED)
@@ -192,6 +192,9 @@ def main(argv=None) -> int:
     except (StepSizeError, DegenerateTraceError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as e:
+        print(f"output error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -440,7 +440,6 @@ def preset(
             "params": {"delta": 1.0, "omega": 1.0, "gamma": 1.0},
         }
         raw["n_steps"] = n_steps if n_steps is not None else round(6.0 / tau)
-        raw["initial"] = [["1", 1.0]]
         if algorithm == "algo1":
             raw["basis"] = {"kind": "explicit", "strings": list(TLS_BASIS_LABELS)}
             raw["delta_reg"] = TLS_REGULARIZER
@@ -450,7 +449,6 @@ def preset(
             "params": {"n": 2, "j": 1.0, "h": 1.0, "gamma": 0.1},
         }
         raw["n_steps"] = n_steps if n_steps is not None else round(10.0 / tau)
-        raw["initial"] = [["11", 1.0]]
         if algorithm == "algo1":
             raw["basis"] = {
                 "kind": "random",

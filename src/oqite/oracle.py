@@ -146,14 +146,6 @@ def steady_state(m: LindbladModel, tol: float = 1e-9) -> DensityMatrix:
     return DensityMatrix(m.n_qubits, rho)
 
 
-def dense_apply(op, vector: np.ndarray) -> np.ndarray:
-    """Apply a Pauli sum through its dense matrix (test-oracle path)."""
-    mat = op.to_matrix()
-    if mat.shape[0] > MAX_DENSE_DIM:
-        raise ValueError("dense path limited to dimension 256")
-    return mat @ np.asarray(vector, dtype=np.complex128)
-
-
 def dense_expm_apply(op, tau: float, vector: np.ndarray) -> np.ndarray:
     """exp(tau * op) applied densely; op is a Pauli sum, tau may be complex."""
     mat = op.to_matrix()

@@ -195,14 +195,6 @@ def solve_regularized(
     return QiteStep(a=a, residual=residual, c_norm=c_norm)
 
 
-def apply_step(
-    psi: StateVector, basis: PauliBasis, step: QiteStep, tau: float
-) -> StateVector:
-    """Apply prod_j exp(-i tau a_j sigma_j) in basis order, renormalized."""
-    amps = pauli_rotation(psi.amplitudes, basis.strings, tau * step.a)
-    return StateVector(psi.n_qubits, amps).normalized()
-
-
 def nonunitary_step(
     psi: StateVector,
     h: PauliSum,

@@ -53,11 +53,6 @@ class StateVector:
             raise ValueError("cannot normalize the zero vector")
         return StateVector(self.n_qubits, self.amplitudes / n)
 
-    def apply(self, op) -> "StateVector":
-        if isinstance(op, PauliString):
-            return StateVector(self.n_qubits, apply_string(op, self.amplitudes))
-        return StateVector(self.n_qubits, op.apply(self.amplitudes))
-
     def __repr__(self):
         return f"StateVector(n={self.n_qubits})"
 
@@ -103,9 +98,6 @@ class DensityMatrix:
             self.n_qubits, 0.5 * (self.entries + self.entries.conj().T)
         )
 
-    def expectation(self, op: PauliSum) -> complex:
-        return complex(np.trace(op.to_matrix() @ self.entries))
-
 
 @dataclass(eq=False)
 class ShotModel:
@@ -143,13 +135,6 @@ class ShotModel:
 
 
 EXACT = ShotModel(0, 0)
-
-
-def inner(phi: StateVector, psi: StateVector) -> complex:
-    """<phi|psi>, conjugate-linear in the first argument."""
-    if phi.n_qubits != psi.n_qubits:
-        raise ValueError("register size mismatch")
-    return complex(np.vdot(phi.amplitudes, psi.amplitudes))
 
 
 def _check_sampling_norm(psi: StateVector):
@@ -257,15 +242,13 @@ def matrix_element(
     phi_y: StateVector,
     op: PauliSum,
     shot: ShotModel = EXACT,
-    local_shortcut: bool = True,
 ) -> complex:
     """<phi_x|op|phi_y>.
 
     The sampled path estimates each term through superposition-state
-    expectations; with ``local_shortcut`` (default on) and both states
-    computational basis states, a k-local term is evaluated on its support
-    only, and contributes exactly zero without any draws when the two
-    states differ outside the support.
+    expectations; when both states are computational basis states, a
+    k-local term is evaluated on its support only, and contributes exactly
+    zero without any draws when the two states differ outside the support.
     """
     if phi_x.n_qubits != phi_y.n_qubits or phi_x.n_qubits != op.n_qubits:
         raise ValueError("register size mismatch")
@@ -278,8 +261,8 @@ def matrix_element(
 
     _check_sampling_norm(phi_x)
     _check_sampling_norm(phi_y)
-    bx = _is_basis_state(ax) if local_shortcut else None
-    by = _is_basis_state(ay) if local_shortcut else None
+    bx = _is_basis_state(ax)
+    by = _is_basis_state(ay)
     total = 0.0 + 0.0j
     for coeff, string in op:
         if bx is not None and by is not None and not string.is_identity:
@@ -288,8 +271,9 @@ def matrix_element(
             if (bx & off) != (by & off):
                 continue  # orthogonal tails: exactly zero, no draws spent
             k = len(support)
-            rx = _reduce_to_support(bx, support) + 0  # phases of ax, ay are
-            ry = _reduce_to_support(by, support)  # carried by the amplitudes
+            # the phases of ax and ay are carried by the amplitudes below
+            rx = _reduce_to_support(bx, support)
+            ry = _reduce_to_support(by, support)
             sub = _restrict_string(string, support)
             sax = np.zeros(1 << k, dtype=np.complex128)
             say = np.zeros(1 << k, dtype=np.complex128)

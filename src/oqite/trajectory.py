@@ -9,7 +9,6 @@ pair.  Bytes are deterministic for a given run except the single
 from __future__ import annotations
 
 import contextlib
-import io
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -97,11 +96,6 @@ class Trajectory:
                     ]
                     out.write(",".join(row) + "\n")
 
-    def to_csv_text(self, timestamp: bool = True) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf, timestamp=timestamp)
-        return buf.getvalue()
-
 
 def read_csv(path) -> Trajectory:
     """Inverse of write_csv, tolerant of the optional value_std column."""
@@ -125,6 +119,9 @@ def read_csv(path) -> Trajectory:
             rows.append(dict(zip(header, line.split(","))))
     if header is None or not rows:
         raise ValueError("CSV holds no data rows")
+    for name in ("t", "observable", "value"):
+        if name not in header:
+            raise ValueError(f"CSV header lacks the {name!r} column")
     algorithm = rows[0].get("algorithm", "?")
     seed = rows[0].get("seed", "?")
     traj = Trajectory(algorithm=algorithm, seed=seed, meta=meta)

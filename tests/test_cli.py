@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, file outputs, reproducibility."""
 
+import io
 import json
 
 import pytest
@@ -140,7 +141,55 @@ def test_run_reproducible_from_csv_header(outdir):
     original = path.read_text(encoding="utf-8")
     echoed = read_csv(str(path)).meta
     replay = run_experiment(ExperimentConfig.from_meta(echoed))
-    assert _strip_timestamp(replay.to_csv_text()) == _strip_timestamp(original)
+    buf = io.StringIO()
+    replay.write_csv(buf)
+    assert _strip_timestamp(buf.getvalue()) == _strip_timestamp(original)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preset", "tls", "--seeds", "a"],
+        ["sweep-paulis", "--counts", "1,y"],
+        ["sweep-gamma", "--gammas", "x"],
+    ],
+    ids=["preset-seeds", "sweep-paulis-counts", "sweep-gamma-gammas"],
+)
+def test_bad_list_flag_is_a_usage_error(outdir, capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "invalid comma-separated" in err
+    assert "Traceback" not in err
+    assert not list(outdir.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "CFG"],
+        ["preset", "tls", "--steps", "2", "--out", "afile/x.csv"],
+        ["sweep-paulis", "--out", "afile/x.csv"],
+        ["sweep-gamma", "--out", "afile/x.csv"],
+    ],
+    ids=["run", "preset", "sweep-paulis", "sweep-gamma"],
+)
+def test_unwritable_output_fails_before_simulating(outdir, capsys, monkeypatch, argv):
+    # a parent that is a regular file cannot become a directory
+    (outdir / "afile").write_text("not a directory", encoding="utf-8")
+    cfg = _write_config(outdir, {**TLS_ORACLE, "output": "afile/x.csv"})
+    argv = [cfg if a == "CFG" else a for a in argv]
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before checking the output path")
+
+    for name in ("run_experiment", "sweep_paulis", "sweep_gamma"):
+        monkeypatch.setattr(f"oqite.cli.{name}", never)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ")
+    assert "Traceback" not in err
 
 
 # --- preset --------------------------------------------------------------------
@@ -232,6 +281,15 @@ def test_plot_roundtrip(outdir, capsys):
 def test_plot_missing_csv(outdir, capsys):
     assert main(["plot", str(outdir / "missing.csv")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_plot_csv_missing_columns(outdir, capsys):
+    path = outdir / "partial.csv"
+    path.write_text("a,b\n1,2\n", encoding="utf-8")
+    assert main(["plot", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'t'" in err
+    assert not (outdir / "partial.svg").exists()
 
 
 def test_plot_custom_out(outdir):

@@ -20,7 +20,6 @@ from oqite.oracle import (
     MAX_QUBITS,
     _generator,
     default_rk4_steps,
-    dense_apply,
     dense_expm_apply,
     evolve_exact,
     expm,
@@ -243,12 +242,6 @@ def test_steady_state_degenerate_warns():
 # --- dense helper paths ---------------------------------------------------
 
 
-def test_dense_apply_matches_matvec(rng):
-    op = random_pauli_sum(rng, 3, 5, herm=False)
-    v = random_unit(rng, 8)
-    assert_close(dense_apply(op, v), sum_matrix(op) @ v, 1e-12)
-
-
 def test_dense_expm_apply_matches_scipy(rng):
     op = random_pauli_sum(rng, 2, 4, herm=False)
     v = random_unit(rng, 4)
@@ -260,8 +253,6 @@ def test_dense_expm_apply_matches_scipy(rng):
 def test_dense_paths_dimension_guard():
     op = PauliSum(9, ((1.0, PauliString.from_label("X" * 9)),))
     v = np.zeros(512, dtype=np.complex128)
-    with pytest.raises(ValueError):
-        dense_apply(op, v)
     with pytest.raises(ValueError):
         dense_expm_apply(op, 0.1, v)
 

@@ -16,7 +16,6 @@ from oqite.pauli import PauliString, PauliSum
 from oqite.qite import (
     SINGULAR_FLOOR,
     PauliBasis,
-    apply_step,
     build_system,
     nonunitary_step,
     solve_regularized,
@@ -208,53 +207,6 @@ def test_solve_permutation_equivariance(rng):
     base = solve_regularized(s_mat, b, 0.0)
     shuffled = solve_regularized(p @ s_mat @ p.T, p @ b, 0.0)
     assert_close(shuffled.a, p @ base.a, 1e-9)
-
-
-# --- rotations --------------------------------------------------------------
-
-
-def test_apply_step_single_string_is_exact(rng):
-    psi = StateVector(2, random_unit(rng, 4))
-    basis = PauliBasis.explicit(["XY"])
-    step = solve_regularized(np.eye(1), np.array([0.8]), 0.0)
-    tau = 0.6
-    got = apply_step(psi, basis, step, tau)
-    want = dense_expm(-1j * tau * 0.8 * label_matrix("XY")) @ psi.amplitudes
-    assert_close(got.amplitudes, want, 1e-12)
-
-
-def test_apply_step_normalizes(rng):
-    psi = StateVector(2, random_unit(rng, 4))
-    basis = PauliBasis.random(2, 5, seed=1)
-    step = solve_regularized(np.eye(5), rng.normal(size=5), 0.0)
-    out = apply_step(psi, basis, step, 0.3)
-    assert abs(out.norm() - 1.0) < 1e-12
-
-
-def test_apply_step_product_error_is_second_order(rng):
-    psi = StateVector(2, random_unit(rng, 4))
-    basis = PauliBasis.explicit(["XI", "ZZ", "IY"])
-    a = np.array([0.7, -0.4, 0.9])
-    step = solve_regularized(np.eye(3), a, 0.0)
-    gen = sum(
-        ai * label_matrix(s.label) for ai, s in zip(a, basis.strings)
-    )
-
-    def gap(tau):
-        got = apply_step(psi, basis, step, tau).amplitudes
-        want = dense_expm(-1j * tau * gen) @ psi.amplitudes
-        return np.linalg.norm(got - want)
-
-    g1, g2 = gap(0.02), gap(0.01)
-    assert g1 < 1e-3
-    assert 2.5 < g1 / g2 < 6.0
-
-
-def test_apply_step_coefficient_count_guard():
-    psi = StateVector.from_bits("0")
-    step = solve_regularized(np.eye(2), np.ones(2), 0.0)
-    with pytest.raises(ValueError):
-        apply_step(psi, PauliBasis.full(1), step, 0.1)
 
 
 # --- full step --------------------------------------------------------------

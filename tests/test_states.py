@@ -23,7 +23,6 @@ from oqite.states import (
     ShotModel,
     StateVector,
     expectation,
-    inner,
     matrix_element,
     pauli_rotation,
 )
@@ -52,20 +51,6 @@ def test_density_from_weights_and_pure():
     assert rho.purity() == pytest.approx(0.25**2 + 0.75**2)
     pure = DensityMatrix.pure(StateVector.from_bits("1"))
     assert pure.purity() == pytest.approx(1.0)
-
-
-def test_density_expectation_matches_dense(rng):
-    op = random_pauli_sum(rng, 2, 3)
-    psi = random_unit(rng, 4)
-    rho = DensityMatrix.pure(StateVector(2, psi))
-    want = np.vdot(psi, sum_matrix(op) @ psi)
-    assert_close([rho.expectation(op)], [want], 1e-12)
-
-
-def test_inner_conjugate_linear(rng):
-    a, b = random_unit(rng, 4), random_unit(rng, 4)
-    got = inner(StateVector(2, a), StateVector(2, b))
-    assert got == pytest.approx(np.vdot(a, b))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -111,6 +96,23 @@ def test_pauli_rotation_matches_dense_expm(lab, theta, seed):
     # each row rounds exactly as the same vector rotated alone
     for row, vec in zip(got, stack):
         assert np.array_equal(row, pauli_rotation(vec, strings, angles))
+
+
+def test_pauli_rotation_product_error_is_second_order(rng):
+    psi = random_unit(rng, 4)
+    labels = ["XI", "ZZ", "IY"]
+    strings = [PauliString.from_label(l) for l in labels]
+    a = np.array([0.7, -0.4, 0.9])
+    gen = sum(ai * label_matrix(l) for ai, l in zip(a, labels))
+
+    def gap(tau):
+        got = pauli_rotation(psi, strings, tau * a)
+        want = dense_expm(-1j * tau * gen) @ psi
+        return np.linalg.norm(got - want)
+
+    g1, g2 = gap(0.02), gap(0.01)
+    assert g1 < 1e-3
+    assert 2.5 < g1 / g2 < 6.0
 
 
 def test_pauli_rotation_skips_zero_angles_and_checks_lengths():
@@ -201,7 +203,7 @@ def test_sampled_matrix_element_consistent(rng):
     assert abs(est - exact) < 0.1
 
 
-def test_local_shortcut_zero_without_draws():
+def test_basis_state_element_outside_support_spends_no_draws():
     # states differ outside the support: the element vanishes identically
     x = StateVector.from_bits("00")
     y = StateVector.from_bits("10")

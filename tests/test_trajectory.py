@@ -1,5 +1,7 @@
 """Trajectory container and its CSV round-trip."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,12 @@ def _sample_trajectory(with_std=False):
     return traj
 
 
+def _csv_text(traj, timestamp):
+    buf = io.StringIO()
+    traj.write_csv(buf, timestamp=timestamp)
+    return buf.getvalue()
+
+
 def test_accessors():
     traj = _sample_trajectory()
     assert_close(traj.times(), [0.0, 0.1, 0.2], 0)
@@ -39,7 +47,7 @@ def test_series_unknown_name():
 
 
 def test_csv_layout():
-    text = _sample_trajectory().to_csv_text(timestamp=False)
+    text = _csv_text(_sample_trajectory(), timestamp=False)
     lines = text.splitlines()
     # meta lines first, sorted by key
     assert lines[0] == "# a=1"
@@ -53,12 +61,12 @@ def test_csv_layout():
 
 def test_csv_timestamp_is_the_only_unstable_line():
     traj = _sample_trajectory()
-    a = traj.to_csv_text(timestamp=True)
-    b = traj.to_csv_text(timestamp=True)
+    a = _csv_text(traj, timestamp=True)
+    b = _csv_text(traj, timestamp=True)
     drop = lambda s: [l for l in s.splitlines() if not l.startswith("# timestamp=")]
     assert drop(a) == drop(b)
     assert sum(l.startswith("# timestamp=") for l in a.splitlines()) == 1
-    assert traj.to_csv_text(timestamp=False) == "\n".join(drop(a)) + "\n"
+    assert _csv_text(traj, timestamp=False) == "\n".join(drop(a)) + "\n"
 
 
 def test_round_trip(tmp_path):
@@ -102,6 +110,17 @@ def test_read_csv_rejects_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# only=meta\n")
     with pytest.raises(ValueError):
+        read_csv(str(path))
+
+
+@pytest.mark.parametrize("column", ["t", "observable", "value"])
+def test_read_csv_names_missing_column(tmp_path, column):
+    path = tmp_path / "partial.csv"
+    _sample_trajectory().write_csv(str(path), timestamp=False)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace(column + ",", "other,", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"'{column}' column"):
         read_csv(str(path))
 
 
