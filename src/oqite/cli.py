@@ -47,10 +47,13 @@ def _resolve_out(name: str) -> Path:
 
 
 def _list_of(kind):
-    """argparse type for a comma-separated list; a bad item exits 2."""
+    """argparse type for a comma-separated list; a bad item or none exits 2."""
 
     def parse(text: str) -> list:
-        return [kind(tok) for tok in text.split(",") if tok.strip()]
+        items = [kind(tok) for tok in text.split(",") if tok.strip()]
+        if not items:
+            raise ValueError("empty list")
+        return items
 
     parse.__name__ = f"comma-separated {kind.__name__}"
     return parse

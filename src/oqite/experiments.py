@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import jsonschema
@@ -25,7 +25,7 @@ from .models import (
     LindbladModel,
     model_from_config,
 )
-from .oracle import MAX_QUBITS, evolve_exact, expm, superoperator
+from .oracle import MAX_QUBITS, evolve_exact
 from .pauli import PauliSum
 from .qite import PauliBasis
 from .states import DensityMatrix, ShotModel
@@ -195,24 +195,15 @@ class ExperimentConfig:
         return cfg
 
     def as_dict(self) -> dict:
-        out = {
-            "model": self.model,
-            "algorithm": self.algorithm,
-            "tau": self.tau,
-            "n_steps": self.n_steps,
-            "delta_reg": self.delta_reg,
-            "shots": self.shots,
-            "seeds": list(self.seeds),
-            "observables": self.observables,
-            "initial": [[b, w] for b, w in self.initial],
-        }
-        if self.basis is not None:
-            out["basis"] = self.basis
-        if self.index_set is not None:
-            out["index_set"] = list(self.index_set)
-        if self.output is not None:
-            out["output"] = self.output
-        return out
+        """JSON form of the fields: ``None`` ones omitted, tuples as lists."""
+
+        def plain(value):
+            if isinstance(value, tuple):
+                return [plain(item) for item in value]
+            return value
+
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: plain(v) for name, v in values.items() if v is not None}
 
     def to_meta(self) -> dict[str, str]:
         return {
@@ -319,15 +310,6 @@ def oracle_trajectory(
             TrajectoryPoint(t=t, values=values, raw_norm=tr, purity=pur)
         )
 
-    if model.n_qubits <= 4:
-        prop = expm(superoperator(model) * tau)
-        v = rho0.entries.reshape(-1, order="F")
-        dim = 1 << model.n_qubits
-        record(0.0, rho0.entries)
-        for k in range(n_steps):
-            v = prop @ v
-            record((k + 1) * tau, v.reshape((dim, dim), order="F"))
-        return traj
     rho = rho0
     record(0.0, rho.entries)
     for k in range(n_steps):

@@ -1,11 +1,12 @@
-"""Dense exact reference solver for the Lindblad equation.
+"""Exact reference solver for the Lindblad equation.
 
-Everything here works on explicit matrices and is the in-repo oracle the
-iterative algorithms are judged against, with no dependencies beyond
-numpy.  :func:`evolve_exact` is matrix-free: a truncated Taylor series of
-the generator's action on rho (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-488 (2011)); :func:`expm` is scaling-and-squaring over a degree-16 Taylor
-kernel (accuracy ~1e-10 for scaled norms <= 1).
+This is the in-repo oracle the iterative algorithms are judged against,
+with no dependencies beyond numpy.  Every exact propagation goes through
+:func:`taylor_apply`, a substepped truncated Taylor series of a linear
+map's action on an array: :func:`evolve_exact` applies it to rho with the
+Lindblad generator, and the exact norm constant of ``qite`` to a state
+vector with -h.  The dense 4^n x 4^n :func:`superoperator` serves only
+:func:`steady_state`.
 """
 
 from __future__ import annotations
@@ -18,29 +19,9 @@ import numpy as np
 from .models import LindbladModel
 from .states import DensityMatrix
 
-MAX_DENSE_DIM = 256  # superoperator side 4^n; dense path stops at n = 4
 MAX_QUBITS = 6  # hard refusal above this
 
-_TAYLOR_ORDER = 16
-_MAX_DEGREE = 55  # evolve_exact: a series still short of 2^-53 here has diverged
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring over a Taylor kernel."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expm needs a square matrix")
-    norm = np.linalg.norm(a, 1)
-    squarings = max(0, int(math.ceil(math.log2(norm)))) if norm > 1.0 else 0
-    scaled = a / (2.0**squarings)
-    # Horner evaluation of sum_{k<=16} scaled^k / k!
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    result = eye + scaled / _TAYLOR_ORDER
-    for k in range(_TAYLOR_ORDER - 1, 0, -1):
-        result = eye + (scaled @ result) / k
-    for _ in range(squarings):
-        result = result @ result
-    return result
+_MAX_DEGREE = 55  # a Taylor series still short of 2^-53 here has diverged
 
 
 def superoperator(m: LindbladModel) -> np.ndarray:
@@ -75,19 +56,40 @@ def _generator(m: LindbladModel):
 
 
 def default_rk4_steps(bound: float, t: float) -> int:
-    """Substep count s of :func:`evolve_exact`, so that (t / s) * bound <= 1."""
+    """Substep count s of :func:`taylor_apply`, so that (t / s) * bound <= 1."""
     return math.ceil(t * bound)
 
 
-def evolve_exact(m: LindbladModel, rho0: DensityMatrix, t: float) -> DensityMatrix:
-    """rho(t) = exp(t L) rho0, re-Hermitized.
+def taylor_apply(action, x: np.ndarray, t: float, bound: float) -> np.ndarray:
+    """exp(t A) x for the linear map ``action`` = A, given ||A||_1 <= ``bound``.
 
-    On each of ``default_rk4_steps`` substeps the Taylor series of
-    exp(dt L) rho is summed until its last two terms fall below 2^-53 of
-    the partial sum.  That function keeps the name it had under the RK4
-    solver this replaced, because the benchmark tracer counts substeps
-    through it; it must be called through the module global.
+    ``t`` is real and may be negative.  On each of ``default_rk4_steps``
+    substeps the Taylor series of exp(dt A) x is summed until its last
+    two terms fall below 2^-53 of the partial sum (Al-Mohy & Higham, SIAM
+    J. Sci. Comput. 33, 488 (2011)).  That function keeps the name it had
+    under the RK4 solver this replaced, because the benchmark tracer
+    counts substeps through it; it must be called through the module
+    global.
     """
+    substeps = default_rk4_steps(bound, abs(t))
+    for _ in range(substeps):
+        dt = t / substeps
+        term = x
+        prev = np.abs(term).max()
+        for degree in range(1, _MAX_DEGREE + 1):
+            term = (dt / degree) * action(term)
+            x = x + term
+            size = np.abs(term).max()
+            if prev + size <= 2.0**-53 * np.abs(x).max():
+                break
+            prev = size
+        else:
+            raise RuntimeError(f"Taylor series not converged at degree {_MAX_DEGREE}")
+    return x
+
+
+def evolve_exact(m: LindbladModel, rho0: DensityMatrix, t: float) -> DensityMatrix:
+    """rho(t) = exp(t L) rho0 by :func:`taylor_apply`, re-Hermitized."""
     if m.n_qubits != rho0.n_qubits:
         raise ValueError("model and state register mismatch")
     if m.n_qubits > MAX_QUBITS:
@@ -97,23 +99,11 @@ def evolve_exact(m: LindbladModel, rho0: DensityMatrix, t: float) -> DensityMatr
     k, jumps, bound = _generator(m)
     k_dag = k.conj().T
     jumps_dag = jumps.conj().transpose(0, 2, 1)
-    substeps = default_rk4_steps(bound, t)
-    rho = rho0.entries
-    for _ in range(substeps):
-        dt = t / substeps
-        term = rho
-        prev = np.abs(term).max()
-        for degree in range(1, _MAX_DEGREE + 1):
-            term = (dt / degree) * (
-                k @ term + term @ k_dag + (jumps @ term @ jumps_dag).sum(axis=0)
-            )
-            rho = rho + term
-            size = np.abs(term).max()
-            if prev + size <= 2.0**-53 * np.abs(rho).max():
-                break
-            prev = size
-        else:
-            raise RuntimeError(f"Taylor series not converged at degree {_MAX_DEGREE}")
+
+    def lindbladian(rho):
+        return k @ rho + rho @ k_dag + (jumps @ rho @ jumps_dag).sum(axis=0)
+
+    rho = taylor_apply(lindbladian, rho0.entries, t, bound)
     return DensityMatrix(m.n_qubits, rho).hermitized()
 
 
@@ -145,10 +135,3 @@ def steady_state(m: LindbladModel, tol: float = 1e-9) -> DensityMatrix:
         raise RuntimeError(f"steady-state residual {residual:.2e} above {tol:.0e}")
     return DensityMatrix(m.n_qubits, rho)
 
-
-def dense_expm_apply(op, tau: float, vector: np.ndarray) -> np.ndarray:
-    """exp(tau * op) applied densely; op is a Pauli sum, tau may be complex."""
-    mat = op.to_matrix()
-    if mat.shape[0] > MAX_DENSE_DIM:
-        raise ValueError("dense path limited to dimension 256")
-    return expm(tau * mat) @ np.asarray(vector, dtype=np.complex128)

@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StepSizeError
+from .oracle import taylor_apply
 from .pauli import PauliString, PauliSum, apply_string, multiply
 from .states import EXACT, ShotModel, StateVector, expectation, pauli_rotation
 
@@ -108,10 +109,9 @@ class StepOutcome(NamedTuple):
 def _norm_constant(
     psi: StateVector, h: PauliSum, tau: float, shot: ShotModel, exact_c: bool
 ) -> float:
-    if exact_c:
-        from .oracle import dense_expm_apply
-
-        decayed = dense_expm_apply(h, -tau, psi.amplitudes)
+    if exact_c:  # |exp(-tau h) psi|^2; ||h||_1 <= sum |c_j| for unit Pauli strings
+        bound = sum(abs(ch) for ch, _ in h)
+        decayed = taylor_apply(lambda v: -h.apply(v), psi.amplitudes, tau, bound)
         c = float(np.vdot(decayed, decayed).real)
     else:
         mean_h = expectation(psi, h, shot).real
@@ -202,10 +202,9 @@ def nonunitary_step(
     basis: PauliBasis,
     delta_reg: float = 0.0,
     shot: ShotModel = EXACT,
-    exact_c: bool = False,
 ) -> StepOutcome:
     """One full imaginary-time step: build, solve, rotate."""
-    s_mat, b, c = build_system(psi, h, tau, basis, shot, exact_c)
+    s_mat, b, c = build_system(psi, h, tau, basis, shot)
     step = solve_regularized(s_mat, b, delta_reg, c_norm=c)
     amps = pauli_rotation(psi.amplitudes, basis.strings, tau * step.a)
     rotated = StateVector(psi.n_qubits, amps)

@@ -152,8 +152,16 @@ def test_run_reproducible_from_csv_header(outdir):
         ["preset", "tls", "--seeds", "a"],
         ["sweep-paulis", "--counts", "1,y"],
         ["sweep-gamma", "--gammas", "x"],
+        ["sweep-gamma", "--gammas", ","],
+        ["sweep-paulis", "--seeds", ","],
     ],
-    ids=["preset-seeds", "sweep-paulis-counts", "sweep-gamma-gammas"],
+    ids=[
+        "preset-seeds",
+        "sweep-paulis-counts",
+        "sweep-gamma-gammas",
+        "sweep-gamma-empty",
+        "sweep-paulis-empty",
+    ],
 )
 def test_bad_list_flag_is_a_usage_error(outdir, capsys, argv):
     with pytest.raises(SystemExit) as exit_info:

@@ -1,4 +1,4 @@
-"""Dense reference solver checked against scipy and hand-built generators."""
+"""Exact reference solver checked against scipy and hand-built generators."""
 
 import numpy as np
 import pytest
@@ -16,50 +16,33 @@ from conftest import (
     vec_col,
 )
 from oqite.models import LindbladModel, lowering, tfim_model, tls_model
+from oqite.experiments import oracle_trajectory
 from oqite.oracle import (
     MAX_QUBITS,
     _generator,
     default_rk4_steps,
-    dense_expm_apply,
     evolve_exact,
-    expm,
     steady_state,
     superoperator,
+    taylor_apply,
 )
 from oqite.pauli import PauliString, PauliSum
 from oqite.states import DensityMatrix, StateVector
 
 
-# --- matrix exponential --------------------------------------------------
+# --- Taylor kernel ---------------------------------------------------------
 
 
-def test_expm_matches_scipy_small_norm(rng):
-    for dim in (2, 4, 7):
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        a *= 0.3
-        assert_close(expm(a), dense_expm(a), 1e-12, "expm small")
-
-
-def test_expm_matches_scipy_large_norm(rng):
-    # norm ~ 50 forces several squarings
-    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    a *= 50.0 / np.linalg.norm(a, 1)
-    ours, ref = expm(a), dense_expm(a)
-    scale = max(1.0, np.max(np.abs(ref)))
-    assert np.max(np.abs(ours - ref)) / scale < 1e-9
-
-
-def test_expm_identity_and_shape_guard():
-    assert_close(expm(np.zeros((3, 3))), np.eye(3), 0)
-    with pytest.raises(ValueError):
-        expm(np.zeros((2, 3)))
-
-
-def test_expm_antihermitian_is_unitary(rng):
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    g = a - a.conj().T
-    u = expm(g)
-    assert_close(u @ u.conj().T, np.eye(4), 1e-10, "unitarity")
+def test_taylor_apply_matches_scipy(rng):
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    a *= 2.0 / np.linalg.norm(a, 1)
+    v = random_unit(rng, 6)
+    bound = np.linalg.norm(a, 1)
+    for t in (0.0, 0.05, -0.4, 1.0, -2.5, 3.7):
+        want = dense_expm(t * a) @ v
+        got = taylor_apply(lambda x: a @ x, v, t, bound)
+        scale = max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) / scale < 1e-12, f"t={t}"
 
 
 # --- dense superoperator -------------------------------------------------
@@ -239,22 +222,31 @@ def test_steady_state_degenerate_warns():
         steady_state(tls_model(1.0, 1.0, 0.0))
 
 
-# --- dense helper paths ---------------------------------------------------
+# --- reference trajectories ---------------------------------------------
 
 
-def test_dense_expm_apply_matches_scipy(rng):
-    op = random_pauli_sum(rng, 2, 4, herm=False)
-    v = random_unit(rng, 4)
-    for tau in (0.05, -0.2, 0.1j, 0.03 - 0.07j):
-        want = dense_expm(tau * sum_matrix(op)) @ v
-        assert_close(dense_expm_apply(op, tau, v), want, 1e-10, f"tau={tau}")
-
-
-def test_dense_paths_dimension_guard():
-    op = PauliSum(9, ((1.0, PauliString.from_label("X" * 9)),))
-    v = np.zeros(512, dtype=np.complex128)
-    with pytest.raises(ValueError):
-        dense_expm_apply(op, 0.1, v)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_oracle_trajectory_matches_dense_expm(rng, n):
+    model = tfim_model(n, 1.0, 0.7, 0.3)
+    rho0 = DensityMatrix.pure(StateVector(n, random_unit(rng, 1 << n)))
+    obs = {
+        "z0": PauliSum.from_label("I" * (n - 1) + "Z"),
+        "x_last": PauliSum.from_label("X" + "I" * (n - 1)),
+    }
+    tau, n_steps = 0.05, 20
+    traj = oracle_trajectory(model, rho0, tau, n_steps, obs)
+    assert len(traj.points) == n_steps + 1
+    prop = dense_expm(tau * _superop_oracle(model))
+    v = vec_col(rho0.entries)
+    for point in traj.points:
+        rho = unvec_col(v)
+        tr = np.trace(rho).real
+        for name, op in obs.items():
+            want = np.trace(sum_matrix(op) @ rho).real / tr
+            assert abs(point.values[name] - want) < 1e-12, f"{name} t={point.t}"
+        assert abs(point.raw_norm - tr) < 1e-12
+        assert abs(point.purity - np.trace(rho @ rho).real / tr**2) < 1e-12
+        v = prop @ v
 
 
 def test_max_qubits_constant():
