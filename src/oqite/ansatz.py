@@ -14,6 +14,10 @@ as the pure-state imaginary-time step, with S and b assembled from branch
 matrix elements <phi_x|sigma|phi_y>; every element is computed (or
 sampled) once per substep and shared across S, b and q.
 
+The branches are the rows of one read-only (r, 2^n) array: element
+tables and rotations act on all rows at once, and per-branch
+:class:`StateVector` s are built only for sampled elements and ``observe``.
+
 The drift weight update uses the expectation of L+L in the tracked
 branches; summed against the refill update on a complete index set this
 conserves sum(q) = 0 identically.
@@ -59,24 +63,30 @@ class Algo2Config:
 
 @dataclass(frozen=True)
 class AnsatzState:
-    """Branch weights and tracked branch vectors (conjugates implicit)."""
+    """Branch weights ``p`` and branch vectors ``phi`` (conjugates implicit).
+
+    Row x of the read-only complex (r, 2^n) array ``phi`` is the branch of
+    weight ``p[x]`` grown from ``|indices[x]>``; both arrays are copies.
+    """
 
     n_qubits: int
     indices: tuple[int, ...]
     p: np.ndarray
-    phi: tuple[StateVector, ...]
+    phi: np.ndarray
     dropped_mass: float = 0.0
 
     def __post_init__(self):
         p = np.array(self.p, dtype=np.float64)
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
+        phi = np.array(self.phi, dtype=np.complex128, order="C")
+        phi.flags.writeable = False
+        object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "indices", tuple(self.indices))
-        object.__setattr__(self, "phi", tuple(self.phi))
         if len({i for i in self.indices}) != len(self.indices):
             raise ValueError("duplicate branch indices")
-        if not (len(self.indices) == len(self.p) == len(self.phi)):
-            raise ValueError("branch bookkeeping out of sync")
+        if len(self.indices) != len(p) or phi.shape != (len(p), 1 << self.n_qubits):
+            raise ValueError(f"branch bookkeeping out of sync (phi {phi.shape})")
         if np.any(self.p < WEIGHT_FLOOR):
             bad = int(np.argmin(self.p))
             raise StepSizeError(
@@ -110,13 +120,9 @@ def init_ansatz(weights, n_qubits: int) -> AnsatzState:
     total = sum(p)
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"weights sum to {total!r}, expected 1")
-    phi = tuple(StateVector.basis_state(n_qubits, i) for i in indices)
+    phi = np.zeros((len(indices), 1 << n_qubits), dtype=np.complex128)
+    phi[np.arange(len(indices)), indices] = 1.0
     return AnsatzState(n_qubits, tuple(indices), np.array(p), phi)
-
-
-def _branch_stack(state: AnsatzState) -> np.ndarray:
-    """Branch vectors as the rows of one (r, 2^n) array."""
-    return np.vstack([f.amplitudes for f in state.phi])
 
 
 class _Elements:
@@ -131,7 +137,8 @@ class _Elements:
         self.state = state
         self.shot = shot
         self.r = len(state.p)
-        self._stack = _branch_stack(state)
+        rows = () if shot.exact else state.phi  # sampled calls take StateVectors
+        self.vecs = [StateVector(state.n_qubits, row) for row in rows]
         self._cache: dict[tuple[int, int], np.ndarray] = {}
 
     def of_string(self, string: PauliString) -> np.ndarray:
@@ -139,18 +146,15 @@ class _Elements:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        r = self.r
         if self.shot.exact:
-            mat = self._stack.conj() @ apply_string(string, self._stack).T
+            mat = self.state.phi.conj() @ apply_string(string, self.state.phi).T
         else:
             single = PauliSum(self.state.n_qubits, [(1.0, string)])
-            mat = np.empty((r, r), dtype=np.complex128)
-            for x in range(r):
-                mat[x, x] = expectation(self.state.phi[x], single, self.shot).real
-                for y in range(x + 1, r):
-                    mat[x, y] = matrix_element(
-                        self.state.phi[x], self.state.phi[y], single, self.shot
-                    )
+            mat = np.empty((self.r, self.r), dtype=np.complex128)
+            for x, vx in enumerate(self.vecs):
+                mat[x, x] = expectation(vx, single, self.shot).real
+                for y in range(x + 1, self.r):
+                    mat[x, y] = matrix_element(vx, self.vecs[y], single, self.shot)
                     mat[y, x] = mat[x, y].conjugate()
         self._cache[key] = mat
         return mat
@@ -171,11 +175,11 @@ class _Elements:
 
 
 def _assemble_overlap(elems: _Elements, basis: PauliBasis, p: np.ndarray):
-    """S_jk plus the per-string element matrices (reused by b)."""
+    """S_jk plus the (m, r, r) stack of basis-string elements (reused by b)."""
     m = len(basis)
     w2 = p**2
     pp = np.outer(p, p)
-    e_mats = [elems.of_string(s) for s in basis.strings]
+    e_mats = np.array([elems.of_string(s) for s in basis.strings])
     s_mat = np.empty((m, m), dtype=np.float64)
     for j in range(m):
         for k in range(j, m):
@@ -192,12 +196,10 @@ def _drift_parts(elems, basis, p, jump, tau, e_mats):
     gen_mat = elems.of_sum(gen)
     q = -tau * p * np.real(np.diag(gen_mat))
     pp = np.outer(p, p)
-    b = np.empty(len(basis), dtype=np.float64)
-    for j, sj in enumerate(basis.strings):
-        own = float((p**2) @ np.imag(np.diag(elems.of_product(sj, gen))))
-        cross = float(np.sum(pp * np.imag(e_mats[j] * gen_mat.T)))
-        b[j] = -tau * (own + cross)
-    return b, q
+    w2 = p**2  # one 1-D dot per string: a matrix-vector product rounds differently
+    own = np.array([w2 @ np.imag(np.diag(elems.of_product(s, gen))) for s in basis])
+    cross = np.sum(pp * np.imag(e_mats * gen_mat.T), axis=(1, 2))
+    return -tau * (own + cross), q
 
 
 def _jump_parts(elems, basis, p, jump, tau):
@@ -205,11 +207,8 @@ def _jump_parts(elems, basis, p, jump, tau):
     el_dag = elems.of_sum(jump.adjoint())  # cache-backed, no extra draws
     q = tau * (np.abs(el) ** 2 @ p)
     pp = np.outer(p, p)
-    b = np.empty(len(basis), dtype=np.float64)
-    for j, sj in enumerate(basis.strings):
-        ejl = elems.of_product(sj, jump)
-        b[j] = 2.0 * tau * float(np.sum(pp * np.imag(ejl * el_dag.T)))
-    return b, q
+    ejl = np.array([elems.of_product(sj, jump) for sj in basis.strings])
+    return 2.0 * tau * np.sum(pp * np.imag(ejl * el_dag.T), axis=(1, 2)), q
 
 
 def drift_system(
@@ -242,13 +241,11 @@ def jump_system(
 
 def _rotate_branches(
     state: AnsatzState, basis: PauliBasis, angles: np.ndarray
-) -> tuple[StateVector, ...]:
+) -> np.ndarray:
     # common rotation prod_j exp(+i a_j sigma_j), basis order, all branches;
-    # rows are renormalized one by one: a norm along axis 1 rounds differently
-    stack = pauli_rotation(_branch_stack(state), basis.strings, -angles)
-    return tuple(
-        StateVector(state.n_qubits, row / np.linalg.norm(row)) for row in stack
-    )
+    # each row's norm is its own 1-D norm: a norm along axis 1 rounds differently
+    phi = pauli_rotation(state.phi, basis.strings, -angles)
+    return phi / np.array([np.linalg.norm(row) for row in phi])[:, None]
 
 
 def _apply_update(
@@ -266,12 +263,8 @@ def _apply_update(
 
 def unitary_step(state: AnsatzState, h: PauliSum, tau: float) -> AnsatzState:
     """First-order Trotter of exp(-i H tau) on every branch, term order."""
-    stack = pauli_rotation(
-        _branch_stack(state),
-        [string for _, string in h],
-        [coeff.real * tau for coeff, _ in h],
-    )
-    return replace(state, phi=tuple(StateVector(state.n_qubits, row) for row in stack))
+    angles = [coeff.real * tau for coeff, _ in h]
+    return replace(state, phi=pauli_rotation(state.phi, [s for _, s in h], angles))
 
 
 def dissipator_step(
@@ -327,7 +320,7 @@ def prune(state: AnsatzState, threshold: float) -> AnsatzState:
         state.n_qubits,
         tuple(i for i, k in zip(state.indices, keep) if k),
         state.p[keep] * scale,
-        tuple(f for f, k in zip(state.phi, keep) if k),
+        state.phi[keep],
         state.dropped_mass + dropped,
     )
 
@@ -335,10 +328,10 @@ def prune(state: AnsatzState, threshold: float) -> AnsatzState:
 def observe(state: AnsatzState, obs: PauliSum, shot: ShotModel = EXACT) -> float:
     """sum_x p_x <phi_x|O|phi_x>; the weight total is not renormalized."""
     total = 0.0
-    for w, f in zip(state.p, state.phi):
+    for w, row in zip(state.p, state.phi):
         if w == 0.0:
             continue
-        total += w * expectation(f, obs, shot).real
+        total += w * expectation(StateVector(state.n_qubits, row), obs, shot).real
     return float(total)
 
 

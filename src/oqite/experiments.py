@@ -164,7 +164,8 @@ class ExperimentConfig:
         n = model.n_qubits
         if raw["algorithm"] == "oracle" and n > MAX_QUBITS:
             raise ConfigError(f"oracle is limited to {MAX_QUBITS} qubits, got {n}")
-        seeds = tuple(raw.get("seeds", [raw.get("seed", 0)]))
+        # JSON Schema "integer" also admits 1.0; Philox needs a Python int
+        seeds = tuple(int(s) for s in raw.get("seeds", [raw.get("seed", 0)]))
         # canonical name order: the config echo is serialized with sorted
         # keys, so replaying a CSV header must produce the same row order
         observables = raw.get("observables") or _default_observables(model_desc, n)

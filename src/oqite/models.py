@@ -162,6 +162,8 @@ MODEL_SCHEMA = {
             },
         },
     },
+    "if": {"properties": {"type": {"const": "custom"}}},
+    "then": {"required": ["custom"]},
 }
 
 

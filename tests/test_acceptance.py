@@ -361,7 +361,7 @@ def _ansatz_fd_gaps(rng, n, tau):
         n,
         tuple(range(dim)),
         w,
-        tuple(StateVector(n, unitary[:, i].copy()) for i in range(dim)),
+        unitary.T,  # row x is branch x
     )
     jump = random_pauli_sum(rng, n, 3, herm=False, unit_norm=True)
     basis = PauliBasis.random(n, min(6, 4**n - 1), seed=int(rng.integers(1 << 30)))
@@ -369,10 +369,7 @@ def _ansatz_fd_gaps(rng, n, tau):
     s_dr, b_dr, q_dr = drift_system(state, jump, tau, basis)
     _, b_ju, q_ju = jump_system(state, jump, tau, basis)
 
-    rho = sum(
-        p * np.outer(f.amplitudes, f.amplitudes.conj())
-        for p, f in zip(state.p, state.phi)
-    )
+    rho = sum(p * np.outer(f, f.conj()) for p, f in zip(state.p, state.phi))
     mats = [label_matrix(s.label) for s in basis]
     g_fd = [
         (
@@ -392,7 +389,7 @@ def _ansatz_fd_gaps(rng, n, tau):
     b_dr_fd = np.array([tau * np.trace(gj @ t_drift).real for gj in g_fd])
     q_dr_fd = np.array(
         [
-            p * (np.vdot(f.amplitudes, dense_expm(-tau * m_mat) @ f.amplitudes).real - 1.0)
+            p * (np.vdot(f, dense_expm(-tau * m_mat) @ f).real - 1.0)
             for p, f in zip(state.p, state.phi)
         ]
     )
@@ -405,7 +402,7 @@ def _ansatz_fd_gaps(rng, n, tau):
     b_ju_fd = np.array([tau * np.trace(gj @ t_refill).real for gj in g_fd])
     q_ju_fd = np.array(
         [
-            np.vdot(f.amplitudes, rho_plus @ f.amplitudes).real - p
+            np.vdot(f, rho_plus @ f).real - p
             for p, f in zip(state.p, state.phi)
         ]
     )

@@ -38,10 +38,7 @@ from oqite.states import EXACT, DensityMatrix, ShotModel, StateVector
 
 
 def dense_rho(state: AnsatzState) -> np.ndarray:
-    return sum(
-        p * np.outer(f.amplitudes, f.amplitudes.conj())
-        for p, f in zip(state.p, state.phi)
-    )
+    return sum(p * np.outer(f, f.conj()) for p, f in zip(state.p, state.phi))
 
 
 def _rotated_fixture():
@@ -64,7 +61,7 @@ def test_init_ansatz_layout():
     assert state.indices == (2, 0)
     assert_close(state.p, [0.7, 0.3], 0)
     assert state.bit_label(0) == "10"
-    assert_close(state.phi[0].amplitudes, StateVector.from_bits("10").amplitudes, 0)
+    assert_close(state.phi[0], StateVector.from_bits("10").amplitudes, 0)
     assert abs(state.total_weight() - 1.0) < 1e-15
     assert abs(state.branch_purity() - (0.49 + 0.09)) < 1e-15
 
@@ -90,6 +87,21 @@ def test_ansatz_state_bookkeeping_guard():
     good = init_ansatz([("0", 1.0)], 1)
     with pytest.raises(ValueError):
         AnsatzState(1, (0, 1), good.p, good.phi)
+
+
+def test_branch_array_invariant():
+    state = init_ansatz([("10", 0.7), ("00", 0.3), ("11", 0.0)], 2)
+    assert state.phi.dtype == np.complex128
+    assert_close(state.phi, np.eye(4)[[2, 0, 3]], 0)  # rows are |10>, |00>, |11>
+    with pytest.raises(ValueError):
+        state.phi[0, 0] = 0.5
+    rows = np.array(state.phi)
+    copy = AnsatzState(2, state.indices, state.p, rows)
+    rows[0, 0] = 0.5
+    assert copy.phi[0, 0] == 0.0  # built from a copy
+    for bad in (rows[:2], rows[:, :2], rows.reshape(-1), rows[None]):
+        with pytest.raises(ValueError, match="out of sync"):
+            AnsatzState(2, state.indices, state.p, bad)
 
 
 def test_weights_are_frozen():
@@ -125,10 +137,9 @@ def test_systems_match_dense_forms():
     assert_close(b_j, [tau * np.trace(gj @ r_mat).real for gj in g], 1e-14, "b refill")
 
     q_dref = [
-        -tau * p * np.vdot(f.amplitudes, m_mat @ f.amplitudes).real
-        for p, f in zip(state.p, state.phi)
+        -tau * p * np.vdot(f, m_mat @ f).real for p, f in zip(state.p, state.phi)
     ]
-    q_jref = [tau * np.vdot(f.amplitudes, r_mat @ f.amplitudes).real for f in state.phi]
+    q_jref = [tau * np.vdot(f, r_mat @ f).real for f in state.phi]
     assert_close(q_d, q_dref, 1e-15, "q drift")
     assert_close(q_j, q_jref, 1e-15, "q refill")
 
@@ -193,8 +204,7 @@ def test_drift_overdrive_raises_step_size_error():
 
 def test_branches_stay_orthonormal():
     state, _ = _rotated_fixture()
-    stack = np.vstack([f.amplitudes for f in state.phi])
-    assert_close(stack.conj() @ stack.T, np.eye(4), 1e-12, "gram")
+    assert_close(state.phi.conj() @ state.phi.T, np.eye(4), 1e-12, "gram")
 
 
 # --- pruning ------------------------------------------------------------------
@@ -230,7 +240,7 @@ def test_unitary_step_single_term_exact():
     out = unitary_step(state, h, 0.3)
     u = dense_expm(-1j * 0.3 * sum_matrix(h))
     for before, after in zip(state.phi, out.phi):
-        assert_close(after.amplitudes, u @ before.amplitudes, 1e-12)
+        assert_close(after, u @ before, 1e-12)
     assert_close(out.p, state.p, 0)
 
 
@@ -240,8 +250,8 @@ def test_unitary_step_trotter_error_second_order():
 
     def gap(tau):
         out = unitary_step(start, h, tau)
-        want = dense_expm(-1j * tau * sum_matrix(h)) @ start.phi[0].amplitudes
-        return np.linalg.norm(out.phi[0].amplitudes - want)
+        want = dense_expm(-1j * tau * sum_matrix(h)) @ start.phi[0]
+        return np.linalg.norm(out.phi[0] - want)
 
     assert 2.5 < gap(0.02) / gap(0.01) < 6.0
 
@@ -311,6 +321,5 @@ def test_sampled_step_deterministic_and_close():
     noisy1 = stepped(ShotModel(1 << 14, seed=8))
     noisy2 = stepped(ShotModel(1 << 14, seed=8))
     assert_close(noisy1.p, noisy2.p, 0, "same-seed weights")
-    for f1, f2 in zip(noisy1.phi, noisy2.phi):
-        assert_close(f1.amplitudes, f2.amplitudes, 0, "same-seed branches")
+    assert_close(noisy1.phi, noisy2.phi, 0, "same-seed branches")
     assert np.max(np.abs(noisy1.p - exact.p)) < 0.01

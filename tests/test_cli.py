@@ -109,12 +109,13 @@ def _with_params(base, **params):
             "n": 1, "h_terms": [{"coeff": [1.0, 0.0], "string": "X"}],
             "jumps": [[{"coeff": [1.0], "string": "Z"}]]}}},
         {**TLS_ORACLE, "algorithm": "algo1", "shots": 10**19},
+        {**TLS_ORACLE, "model": {"type": "custom"}},
     ],
     ids=[
         "tau-nan", "tau-inf", "gamma-negative", "gamma-nan", "delta-inf",
         "omega-negative", "j-inf", "h-negative", "tfim-n0", "oracle-n7",
         "custom-non-hermitian", "custom-term-no-coeff", "custom-jump-bad-coeff",
-        "shots-above-int64",
+        "shots-above-int64", "custom-without-block",
     ],
 )
 def test_run_refuses_out_of_range_config(outdir, capsys, cfg):
@@ -124,6 +125,21 @@ def test_run_refuses_out_of_range_config(outdir, capsys, cfg):
     assert err.startswith("config error: ")
     assert "Traceback" not in err
     assert not list(outdir.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "as_float, as_int",
+    [({"seeds": [1.0]}, {"seeds": [1]}), ({"seed": 3.0}, {"seed": 3})],
+    ids=["seeds", "seed"],
+)
+def test_run_accepts_integer_valued_float_seeds(outdir, capsys, as_float, as_int):
+    base = {**TLS_ORACLE, "algorithm": "algo1", "shots": 64}
+    texts = []
+    for seeds in (as_float, as_int):
+        assert main(["run", _write_config(outdir, {**base, **seeds})]) == 0
+        texts.append(_strip_timestamp((outdir / "run_algo1.csv").read_text()))
+    capsys.readouterr()
+    assert texts[0] == texts[1]
 
 
 def test_run_numerical_failure(outdir, capsys):

@@ -2,10 +2,16 @@
 
 The fixtures in ``tests/golden/`` hold every preset x driver in exact
 mode at the default step count, and both drivers with 8192 shots over
-two seeds.  Only the ``# timestamp=`` line may differ; a refactor that
-changes any other byte of a run's output fails here.
+two seeds.  Two ``oqite run`` configs cover algo2 beyond four branches:
+tfim n = 3 with all 8 branches and the full basis, and a sampled n = 3
+run on a 4-branch index set.  Its transverse field is 0, so the branches
+are still basis states in the first dissipator step and the sampled
+basis-state shortcut of ``matrix_element`` runs.  Only the
+``# timestamp=`` line may differ; a refactor that changes any other byte
+of a run's output fails here.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -27,6 +33,23 @@ CASES = [
     for algo in ("algo1", "algo2")
 ]
 
+TFIM3 = {"type": "tfim", "params": {"n": 3, "j": 1.0, "h": 1.0, "gamma": 0.1}}
+RUN_CASES = [
+    (
+        "tfim3-algo2-full.csv",
+        {"model": TFIM3, "algorithm": "algo2", "tau": 0.05, "n_steps": 10,
+         "basis": {"kind": "full"}, "delta_reg": 0.01},
+    ),
+    (
+        "tfim3-algo2-shots1024.csv",
+        {"model": {**TFIM3, "params": {**TFIM3["params"], "h": 0.0}},
+         "algorithm": "algo2", "tau": 0.05, "n_steps": 4,
+         "basis": {"kind": "random", "count": 12, "seed": 5}, "delta_reg": 0.01,
+         "shots": 1024, "seeds": [0, 1], "index_set": ["111", "110", "101", "011"],
+         "initial": [["111", 0.7], ["011", 0.3]]},
+    ),
+]
+
 
 def _without_timestamp(data: bytes) -> bytes:
     return b"".join(
@@ -42,3 +65,14 @@ def test_preset_matches_golden(tmp_path, capsys, fixture, args):
     assert main(["preset", *args, "--out", str(out)]) == 0
     capsys.readouterr()
     assert _without_timestamp(out.read_bytes()) == (GOLDEN / fixture).read_bytes()
+
+
+@pytest.mark.parametrize("fixture, raw", RUN_CASES, ids=[c[0][:-4] for c in RUN_CASES])
+def test_run_matches_golden(tmp_path, capsys, monkeypatch, fixture, raw):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    monkeypatch.setenv("OQITE_OUTDIR", str(tmp_path))
+    assert main(["run", str(config)]) == 0
+    capsys.readouterr()
+    out = (tmp_path / "run_algo2.csv").read_bytes()
+    assert _without_timestamp(out) == (GOLDEN / fixture).read_bytes()
