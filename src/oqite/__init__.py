@@ -20,7 +20,7 @@ from .models import (
     unvec,
     vectorize,
 )
-from .oracle import evolve_exact, steady_state
+from .oracle import evolve_exact
 from .pauli import PauliString, PauliSum
 from .qite import PauliBasis
 from .states import EXACT, DensityMatrix, ShotModel, StateVector
@@ -57,7 +57,6 @@ __all__ = [
     "read_csv",
     "run_branches",
     "run_vectorized",
-    "steady_state",
     "tfim_model",
     "tls_model",
     "unvec",

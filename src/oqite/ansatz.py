@@ -54,10 +54,9 @@ class Algo2Config:
     basis: PauliBasis
     delta_reg: float = 0.0
     shot: ShotModel = EXACT
-    prune_threshold: float = 0.0
 
     def __post_init__(self):
-        if self.tau <= 0 or self.n_steps < 0 or self.prune_threshold < 0:
+        if self.tau <= 0 or self.n_steps < 0:
             raise ValueError("bad driver configuration")
 
 
@@ -73,7 +72,6 @@ class AnsatzState:
     indices: tuple[int, ...]
     p: np.ndarray
     phi: np.ndarray
-    dropped_mass: float = 0.0
 
     def __post_init__(self):
         p = np.array(self.p, dtype=np.float64)
@@ -301,28 +299,7 @@ def step(state: AnsatzState, model: LindbladModel, cfg: Algo2Config) -> AnsatzSt
         state = dissipator_step(
             state, jump, cfg.tau, cfg.basis, cfg.delta_reg, cfg.shot
         )
-    if cfg.prune_threshold > 0.0:
-        state = prune(state, cfg.prune_threshold)
     return state
-
-
-def prune(state: AnsatzState, threshold: float) -> AnsatzState:
-    """Drop branches below ``threshold``, rescale the rest to the old total."""
-    keep = state.p >= threshold
-    if np.all(keep):
-        return state
-    if not np.any(keep):
-        raise StepSizeError("pruning would drop every branch")
-    dropped = float(np.sum(state.p[~keep]))
-    total = state.total_weight()
-    scale = total / (total - dropped) if total > dropped else 1.0
-    return AnsatzState(
-        state.n_qubits,
-        tuple(i for i, k in zip(state.indices, keep) if k),
-        state.p[keep] * scale,
-        state.phi[keep],
-        state.dropped_mass + dropped,
-    )
 
 
 def observe(state: AnsatzState, obs: PauliSum, shot: ShotModel = EXACT) -> float:
@@ -355,7 +332,6 @@ def run(
                 values=values,
                 raw_norm=state.total_weight(),
                 purity=state.branch_purity(),
-                dropped_mass=state.dropped_mass,
             )
         )
 

@@ -193,6 +193,8 @@ class ExperimentConfig:
         cfg.__dict__["_model"] = model  # seed the cache: built once per config
         cfg.resolve_observables()
         cfg.resolve_initial()
+        if cfg.index_set is not None:
+            cfg.resolve_index_set()
         return cfg
 
     def as_dict(self) -> dict:
@@ -283,6 +285,8 @@ class ExperimentConfig:
         for bits in self.index_set:
             if len(bits) != n or set(bits) - {"0", "1"}:
                 raise ConfigError(f"bad index-set entry {bits!r}")
+        if len(set(self.index_set)) != len(self.index_set):
+            raise ConfigError(f"repeated index-set entry in {list(self.index_set)}")
         return list(self.index_set)
 
 

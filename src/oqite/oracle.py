@@ -3,16 +3,13 @@
 This is the in-repo oracle the iterative algorithms are judged against,
 with no dependencies beyond numpy.  Every exact propagation goes through
 :func:`taylor_apply`, a substepped truncated Taylor series of a linear
-map's action on an array: :func:`evolve_exact` applies it to rho with the
-Lindblad generator, and the exact norm constant of ``qite`` to a state
-vector with -h.  The dense 4^n x 4^n :func:`superoperator` serves only
-:func:`steady_state`.
+map's action on an array, which :func:`evolve_exact` applies to rho with
+the Lindblad generator.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -22,23 +19,6 @@ from .states import DensityMatrix
 MAX_QUBITS = 6  # hard refusal above this
 
 _MAX_DEGREE = 55  # a Taylor series still short of 2^-53 here has diverged
-
-
-def superoperator(m: LindbladModel) -> np.ndarray:
-    """Dense 4^n x 4^n generator in the column-stacking convention."""
-    if m.n_qubits > 4:
-        raise ValueError("dense superoperator limited to 4 qubits (dim 256)")
-    h = m.hamiltonian.to_matrix()
-    jumps = [j.to_matrix() for j in m.jumps]
-    dim = h.shape[0]
-    eye = np.eye(dim, dtype=np.complex128)
-    gen = -1j * np.kron(eye, h) + 1j * np.kron(h.T, eye)
-    for l in jumps:
-        ldl = l.conj().T @ l
-        gen += np.kron(l.conj(), l)
-        gen -= 0.5 * np.kron(eye, ldl)
-        gen -= 0.5 * np.kron(ldl.T, eye)
-    return gen
 
 
 def _generator(m: LindbladModel):
@@ -105,33 +85,3 @@ def evolve_exact(m: LindbladModel, rho0: DensityMatrix, t: float) -> DensityMatr
 
     rho = taylor_apply(lindbladian, rho0.entries, t, bound)
     return DensityMatrix(m.n_qubits, rho).hermitized()
-
-
-def steady_state(m: LindbladModel, tol: float = 1e-9) -> DensityMatrix:
-    """Null vector of the dense generator, Hermitized and trace-normalized.
-
-    A nullspace of dimension > 1 (e.g. gamma = 0) triggers a UserWarning
-    and returns the first null vector.
-    """
-    gen = superoperator(m)
-    _, s, vh = np.linalg.svd(gen)
-    cutoff = max(tol, 1e-12 * s[0]) if s.size else tol
-    null_count = int(np.sum(s < cutoff))
-    v = vh[-1].conj()
-    if null_count > 1:
-        warnings.warn(
-            f"steady state not unique: nullspace dimension {null_count}",
-            UserWarning,
-            stacklevel=2,
-        )
-    dim = 1 << m.n_qubits
-    rho = v.reshape((dim, dim), order="F")
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho)
-    if abs(tr) > 1e-8:
-        rho = rho / tr
-    residual = np.linalg.norm(gen @ rho.reshape(-1, order="F"))
-    if null_count == 1 and residual > tol * max(1.0, float(np.linalg.norm(rho))):
-        raise RuntimeError(f"steady-state residual {residual:.2e} above {tol:.0e}")
-    return DensityMatrix(m.n_qubits, rho)
-

@@ -6,9 +6,9 @@ A = sum_j a_j sigma_j over a chosen Pauli basis.  The coefficients solve
     (S + delta*I) a = b,   S_ij = Re<psi|s_i s_j|psi>,
                            b_i  = Im<psi|s_i h|psi> / sqrt(c),
 
-where c ~ 1 - 2 tau <h> estimates the squared norm of exp(-tau*h)|psi>.
-``a`` stores the per-unit-tau solution; tau is folded into the rotation
-angles at apply time.
+where c = 1 - 2 tau <h> is the first-order estimate of the squared norm
+of exp(-tau*h)|psi>.  ``a`` stores the per-unit-tau solution; tau is
+folded into the rotation angles at apply time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StepSizeError
-from .oracle import taylor_apply
 from .pauli import PauliString, PauliSum, apply_string, multiply
 from .states import EXACT, ShotModel, StateVector, expectation, pauli_rotation
 
@@ -106,16 +105,8 @@ class StepOutcome(NamedTuple):
     raw_norm: float  # norm before the defensive renormalization
 
 
-def _norm_constant(
-    psi: StateVector, h: PauliSum, tau: float, shot: ShotModel, exact_c: bool
-) -> float:
-    if exact_c:  # |exp(-tau h) psi|^2; ||h||_1 <= sum |c_j| for unit Pauli strings
-        bound = sum(abs(ch) for ch, _ in h)
-        decayed = taylor_apply(lambda v: -h.apply(v), psi.amplitudes, tau, bound)
-        c = float(np.vdot(decayed, decayed).real)
-    else:
-        mean_h = expectation(psi, h, shot).real
-        c = 1.0 - 2.0 * tau * mean_h
+def _norm_constant(psi: StateVector, h: PauliSum, tau: float, shot: ShotModel) -> float:
+    c = 1.0 - 2.0 * tau * expectation(psi, h, shot).real
     if c <= C_GUARD:
         raise StepSizeError(
             f"norm constant c = {c:.4f} <= {C_GUARD}; reduce the time step"
@@ -129,7 +120,6 @@ def build_system(
     tau: float,
     basis: PauliBasis,
     shot: ShotModel = EXACT,
-    exact_c: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Assemble (S, b, c) for one imaginary-time step under ``h``.
 
@@ -139,7 +129,7 @@ def build_system(
     """
     if psi.n_qubits != h.n_qubits or psi.n_qubits != basis.n_qubits:
         raise ValueError("register size mismatch")
-    c = _norm_constant(psi, h, tau, shot, exact_c)
+    c = _norm_constant(psi, h, tau, shot)
     m = len(basis)
     amps = psi.amplitudes
     if shot.exact:

@@ -68,6 +68,14 @@ def lindblad_superop(h_mat: np.ndarray, jump_mats) -> np.ndarray:
     return gen
 
 
+def steady_state(gen: np.ndarray) -> np.ndarray:
+    """Null vector of a column-stacked generator, Hermitized, trace one."""
+    _, _, vh = np.linalg.svd(gen)
+    rho = unvec_col(vh[-1].conj())
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho)
+
+
 def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return amps / np.linalg.norm(amps)

@@ -24,9 +24,7 @@ from oqite.ansatz import (
     init_ansatz,
     jump_system,
     observe,
-    prune,
     run,
-    step,
     unitary_step,
 )
 from oqite.errors import StepSizeError
@@ -207,30 +205,6 @@ def test_branches_stay_orthonormal():
     assert_close(state.phi.conj() @ state.phi.T, np.eye(4), 1e-12, "gram")
 
 
-# --- pruning ------------------------------------------------------------------
-
-
-def test_prune_noop_below_threshold():
-    state = init_ansatz([("0", 0.6), ("1", 0.4)], 1)
-    assert prune(state, 0.1) is state
-
-
-def test_prune_drops_and_rescales():
-    state = init_ansatz([("00", 0.001), ("01", 0.399), ("10", 0.6)], 2)
-    out = prune(state, 0.01)
-    assert out.indices == (1, 2)
-    assert abs(out.dropped_mass - 0.001) < 1e-15
-    assert abs(out.total_weight() - 1.0) < 1e-12
-    # relative weights preserved
-    assert abs(out.p[1] / out.p[0] - 0.6 / 0.399) < 1e-12
-
-
-def test_prune_refuses_to_empty():
-    state = init_ansatz([("0", 0.5), ("1", 0.5)], 1)
-    with pytest.raises(StepSizeError):
-        prune(state, 0.9)
-
-
 # --- unitary factor -----------------------------------------------------------
 
 
@@ -284,26 +258,12 @@ def test_trajectory_tracks_exact_evolution():
     assert traj.points[0].dropped_mass == 0.0
 
 
-def test_step_with_pruning_logs_dropped_mass():
-    model = tls_model(1.0, 1.0, 1.0)
-    state = init_ansatz([("1", 0.999), ("0", 0.001)], 1)
-    cfg = Algo2Config(
-        tau=0.001, n_steps=1, basis=PauliBasis.full(1), prune_threshold=0.005
-    )
-    out = step(state, model, cfg)
-    assert len(out.indices) == 1
-    assert out.dropped_mass > 0.0
-    assert abs(out.total_weight() - 1.0) < 1e-12
-
-
 def test_config_validation():
     basis = PauliBasis.full(1)
     with pytest.raises(ValueError):
         Algo2Config(tau=0.0, n_steps=1, basis=basis)
     with pytest.raises(ValueError):
         Algo2Config(tau=0.1, n_steps=-1, basis=basis)
-    with pytest.raises(ValueError):
-        Algo2Config(tau=0.1, n_steps=1, basis=basis, prune_threshold=-0.1)
 
 
 # --- sampled path ----------------------------------------------------------------

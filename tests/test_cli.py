@@ -110,12 +110,13 @@ def _with_params(base, **params):
             "jumps": [[{"coeff": [1.0], "string": "Z"}]]}}},
         {**TLS_ORACLE, "algorithm": "algo1", "shots": 10**19},
         {**TLS_ORACLE, "model": {"type": "custom"}},
+        {**TLS_ORACLE, "algorithm": "algo2", "index_set": ["0", "0", "1"]},
     ],
     ids=[
         "tau-nan", "tau-inf", "gamma-negative", "gamma-nan", "delta-inf",
         "omega-negative", "j-inf", "h-negative", "tfim-n0", "oracle-n7",
         "custom-non-hermitian", "custom-term-no-coeff", "custom-jump-bad-coeff",
-        "shots-above-int64", "custom-without-block",
+        "shots-above-int64", "custom-without-block", "index-set-duplicate",
     ],
 )
 def test_run_refuses_out_of_range_config(outdir, capsys, cfg):

@@ -202,6 +202,8 @@ def test_resolve_index_set_validation():
         tls_config(algorithm="algo2", index_set=["01"]).resolve_index_set()
     with pytest.raises(ConfigError, match="bad index-set"):
         tls_config(algorithm="algo2", index_set=["x"]).resolve_index_set()
+    with pytest.raises(ConfigError, match="repeated index-set"):
+        tls_config(algorithm="algo2", index_set=["0", "0", "1"])
 
 
 # --- reference trajectory -------------------------------------------------------

@@ -9,16 +9,58 @@ are still basis states in the first dissipator step and the sampled
 basis-state shortcut of ``matrix_element`` runs.  Only the
 ``# timestamp=`` line may differ; a refactor that changes any other byte
 of a run's output fails here.
+
+The bytes depend on the OpenBLAS kernel that numpy loads, which OpenBLAS
+picks by CPU (``OPENBLAS_CORETYPE`` overrides it).  ``ENVIRONMENT.json``
+records the numpy and OpenBLAS that made the fixtures, and a failure
+prints it next to the current one, so that a kernel mismatch can be told
+apart from a regression.  Run this module as a script to print the
+current environment; after regenerating the fixtures, record it with
+``PYTHONPATH=src python tests/test_golden.py > tests/golden/ENVIRONMENT.json``.
 """
 
+import ctypes
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oqite.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+ENVIRONMENT = GOLDEN / "ENVIRONMENT.json"
+
+
+def _openblas_call(symbol: str, restype):
+    """Call a no-argument function of numpy's ILP64 OpenBLAS, or give None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        fn = getattr(ctypes.CDLL(path), symbol, None)
+        if fn is not None:
+            fn.argtypes = []
+            fn.restype = restype
+            return fn()
+    return None
+
+
+def blas_environment() -> dict:
+    """numpy version, OpenBLAS version, core name and thread count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = _openblas_call("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return {
+        "numpy": np.__version__,
+        "openblas": blas.get("version"),
+        "openblas_corename": core.decode() if core is not None else None,
+        "openblas_threads": _openblas_call(
+            "scipy_openblas_get_num_threads64_", ctypes.c_int
+        ),
+    }
+
 
 CASES = [
     (f"{name}-{algo}-exact.csv", [name, "--algo", algo])
@@ -59,12 +101,20 @@ def _without_timestamp(data: bytes) -> bytes:
     )
 
 
+def _assert_golden(out: bytes, fixture: str):
+    recorded = json.loads(ENVIRONMENT.read_text(encoding="utf-8"))
+    assert _without_timestamp(out) == (GOLDEN / fixture).read_bytes(), (
+        f"{fixture} differs; fixtures made under {recorded}, "
+        f"this run under {blas_environment()}"
+    )
+
+
 @pytest.mark.parametrize("fixture, args", CASES, ids=[c[0][:-4] for c in CASES])
 def test_preset_matches_golden(tmp_path, capsys, fixture, args):
     out = tmp_path / fixture
     assert main(["preset", *args, "--out", str(out)]) == 0
     capsys.readouterr()
-    assert _without_timestamp(out.read_bytes()) == (GOLDEN / fixture).read_bytes()
+    _assert_golden(out.read_bytes(), fixture)
 
 
 @pytest.mark.parametrize("fixture, raw", RUN_CASES, ids=[c[0][:-4] for c in RUN_CASES])
@@ -74,5 +124,8 @@ def test_run_matches_golden(tmp_path, capsys, monkeypatch, fixture, raw):
     monkeypatch.setenv("OQITE_OUTDIR", str(tmp_path))
     assert main(["run", str(config)]) == 0
     capsys.readouterr()
-    out = (tmp_path / "run_algo2.csv").read_bytes()
-    assert _without_timestamp(out) == (GOLDEN / fixture).read_bytes()
+    _assert_golden((tmp_path / "run_algo2.csv").read_bytes(), fixture)
+
+
+if __name__ == "__main__":
+    print(json.dumps(blas_environment(), indent=2))

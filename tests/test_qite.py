@@ -115,15 +115,6 @@ def test_build_system_matches_dense(rng):
     assert_close(s_mat, s_mat.T, 0, "symmetry")
 
 
-def test_build_system_exact_c(rng):
-    psi = StateVector(1, random_unit(rng, 2))
-    h = PauliSum.from_text("0.8*Z + 0.3*X")
-    tau = 0.2
-    _, _, c = build_system(psi, h, tau, PauliBasis.full(1), exact_c=True)
-    decayed = dense_expm(-tau * sum_matrix(h)) @ psi.amplitudes
-    assert abs(c - np.vdot(decayed, decayed).real) < 1e-10
-
-
 def test_build_system_c_guard():
     psi = StateVector.from_bits("0")  # <Z> = 1
     h = PauliSum.from_label("Z")
